@@ -294,7 +294,8 @@ BENCHMARK(BM_MemTraceLoad)->Unit(benchmark::kMillisecond);
 
 /**
  * The steady-state in-memory path: replay the already-decoded arena
- * through a cursor — what every simulation pass after the first costs.
+ * as blocks, reading its ip and meta columns — what every simulation
+ * pass after the first costs before any predictor work.
  * items/s is directly comparable with BM_SbbtTracePipeline's.
  */
 void
@@ -303,13 +304,15 @@ BM_MemTraceReplay(benchmark::State &state)
     auto arena = pipelineArena();
     std::uint64_t branches = 0;
     for (auto _ : state) {
-        sbbt::MemTraceCursor cursor(arena);
-        sbbt::PacketData p;
-        std::uint64_t n = 0;
-        while (cursor.next(p))
-            ++n;
-        branches = n;
-        benchmark::DoNotOptimize(cursor.instrNumber());
+        sbbt::BlockSource source(arena);
+        sbbt::Block block;
+        std::uint64_t sum = 0;
+        while (source.next(block)) {
+            for (std::size_t i = 0; i < block.size; ++i)
+                sum += block.ip[i] ^ block.meta[i];
+        }
+        branches = source.branches();
+        benchmark::DoNotOptimize(sum);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(branches));

@@ -3,7 +3,7 @@
  * Championship-style evaluation: run the whole examples-library roster
  * over a training suite with the multi-trace driver and print a
  * leaderboard — the workflow the CBPs and most papers use (average MPKI
- * over the trace set), here taking seconds instead of hours because of
+ * over the trace set, run as one parallel mbp::sweep campaign), here taking seconds instead of hours because of
  * the fast simulator (paper §VII-B: "the user can perform a couple of
  * short and quick simulations with a set of 4 to 10 traces to reevaluate
  * their design").
@@ -12,12 +12,11 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <cstdlib>
 #include <vector>
 
 #include "mbp/predictors/all.hpp"
-#include "mbp/sim/simulator.hpp"
+#include "mbp/sweep/sweep.hpp"
 #include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/suite.hpp"
 
@@ -79,17 +78,28 @@ main(int argc, char **argv)
          0},
     };
 
-    // Trace-level parallelism: each worker simulates whole traces with
-    // its own fresh predictor, so results are identical to a sequential
-    // run. Only possible because the user program owns execution.
-    unsigned threads = std::thread::hardware_concurrency();
-    for (auto &contender : roster) {
-        json_t result =
-            simulateSuiteParallel(contender.make, traces, SimArgs{}, threads);
-        const json_t &summary = *result.find("summary");
-        contender.amean_mpki = summary.find("amean_mpki")->asDouble();
-        contender.seconds =
-            summary.find("total_simulation_time")->asDouble();
+    // One campaign over the whole (predictor x trace) grid on all cores:
+    // each cell simulates one trace with its own fresh predictor, so the
+    // results are identical to a sequential run. Only possible because
+    // the user program owns execution.
+    sweep::Campaign campaign;
+    for (const auto &contender : roster)
+        campaign.predictors.push_back({contender.name, contender.make, {}});
+    campaign.traces = traces;
+    const json_t result = sweep::run(campaign);
+    const json_t &per_predictor =
+        *result.find("aggregate")->find("per_predictor");
+    const json_t &cells = *result.find("cells");
+    for (std::size_t p = 0; p < roster.size(); ++p) {
+        Contender &contender = roster[p];
+        contender.amean_mpki =
+            per_predictor[p].find("amean_mpki")->asDouble();
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            const json_t &cell = *cells[p * traces.size() + t].find("result");
+            if (const json_t *metrics = cell.find("metrics"))
+                contender.seconds +=
+                    metrics->find("simulation_time")->asDouble();
+        }
         std::printf("  evaluated %-20s %8.4f MPKI  (%.2f s)\n",
                     contender.name.c_str(), contender.amean_mpki,
                     contender.seconds);

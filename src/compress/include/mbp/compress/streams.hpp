@@ -76,6 +76,15 @@ class ByteSink
 std::unique_ptr<ByteSource> openSource(const std::string &path);
 
 /**
+ * Upper bound on the bytes openSource(@p path) can ever deliver: the file
+ * size times its codec's worst-case expansion. Lets readers cap an
+ * allocation that a header field asks for by what the file can hold.
+ *
+ * @return The bound, or 0 when the file cannot be opened or sized.
+ */
+std::uint64_t decodedSizeBound(const std::string &path);
+
+/**
  * Opens @p path for writing through @p codec.
  *
  * @param level Effort level (gzip: zlib 1-9; FLZ: match probes; ignored for

@@ -479,12 +479,13 @@ makeFlzSink(std::unique_ptr<ByteSink> inner, int level, bool wide)
     return std::make_unique<FlzSink>(std::move(inner), level, wide);
 }
 
-std::unique_ptr<ByteSource>
-openSource(const std::string &path)
+namespace
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return nullptr;
+
+/** The codec of open file @p f: its extension, else its magic bytes. */
+Codec
+sniffCodec(const std::string &path, std::FILE *f)
+{
     Codec codec = codecFromPath(path);
     if (codec == Codec::kRaw) {
         // Unknown extension: sniff the first bytes for a known magic.
@@ -497,6 +498,38 @@ openSource(const std::string &path)
                             std::memcmp(magic, kFlz2Magic, 4) == 0))
             codec = Codec::kFlz;
     }
+    return codec;
+}
+
+} // namespace
+
+std::uint64_t
+decodedSizeBound(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return 0;
+    const Codec codec = sniffCodec(path, f);
+    const bool sized = std::fseek(f, 0, SEEK_END) == 0;
+    const long size = sized ? std::ftell(f) : -1;
+    std::fclose(f);
+    if (size < 0)
+        return 0;
+    // Deflate expands at most 1032:1. An FLZ input byte yields at most
+    // 255 output bytes (a match-length extension byte), plus the token.
+    const std::uint64_t ratio =
+        codec == Codec::kGzip ? 1032 : codec == Codec::kFlz ? 256 : 1;
+    const auto bytes = static_cast<std::uint64_t>(size);
+    return bytes > UINT64_MAX / ratio ? UINT64_MAX : bytes * ratio;
+}
+
+std::unique_ptr<ByteSource>
+openSource(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return nullptr;
+    const Codec codec = sniffCodec(path, f);
     auto file = std::make_unique<FileSource>(f);
     switch (codec) {
       case Codec::kGzip: return makeGzipSource(std::move(file));

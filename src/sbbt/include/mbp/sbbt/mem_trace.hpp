@@ -8,17 +8,17 @@
  * once: one streaming pass decodes the whole trace into a compact
  * struct-of-arrays arena that is immutable afterwards and can be shared
  * across any number of predictors and threads via
- * `std::shared_ptr<const MemTrace>`. A MemTraceCursor then replays the
- * arena through the same `next(PacketData&)` / `instrNumber()` surface as
- * SbbtReader, so the simulator core runs unchanged over either source.
+ * `std::shared_ptr<const MemTrace>`. Consumers read it through the
+ * column accessors, or as zero-copy blocks through an sbbt::BlockSource —
+ * the same block shape the streaming decoder produces, so every
+ * simulation loop runs unchanged over either.
  *
  * @code
  *   std::string error;
  *   auto trace = sbbt::MemTrace::load("trace.sbbt.flz", {}, &error);
  *   if (!trace) fail(error);
- *   sbbt::MemTraceCursor cursor(trace);   // one per concurrent consumer
- *   sbbt::PacketData p;
- *   while (cursor.next(p)) { ... cursor.instrNumber() ... }
+ *   for (std::size_t i = 0; i < trace->size(); ++i)
+ *       use(trace->ip(i), trace->taken(i), trace->instrNumber(i));
  * @endcode
  */
 #ifndef MBP_SBBT_MEM_TRACE_HPP
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "mbp/sbbt/blocks.hpp"
 #include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/reader.hpp"
 
@@ -40,18 +41,19 @@ namespace mbp::sbbt
  *
  * Layout is struct-of-arrays: branch IPs, targets, a packed
  * opcode+outcome byte and the 1-based cumulative instruction number of
- * every branch. Instruction gaps are not stored — a cursor recovers them
- * from consecutive instruction numbers — so the arena costs
+ * every branch. Instruction gaps are not stored — they are the
+ * differences of consecutive instruction numbers — so the arena costs
  * kBytesPerBranch per branch regardless of the on-disk codec.
  *
  * The columns are exposed as raw pointers and owned in one of two ways:
  * load() decodes the trace into heap vectors, while mapFile() borrows
  * them zero-copy from a read-only mmap of an SBBT-A sidecar
- * (mbp/sbbt/arena_file.hpp) — same accessors, same cursors, same fused
- * kernels over either backing.
+ * (mbp/sbbt/arena_file.hpp) — same accessors, same blocks, same
+ * simulation loops over either backing.
  *
  * Thread safety: a loaded MemTrace is never mutated, so any number of
- * threads may iterate it concurrently, each through its own cursor.
+ * threads may iterate it concurrently, each through its own
+ * BlockSource.
  */
 class MemTrace
 {
@@ -66,11 +68,16 @@ class MemTrace
     static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 8 + 1 + 4;
 
     /**
-     * Decodes the whole trace at @p path in one streaming pass.
+     * Decodes the whole trace at @p path in one streaming pass, through
+     * the same block decoder a streaming simulation reads (BlockSource).
      *
      * Errors follow SbbtReader semantics: an unreadable file, corrupt
      * compressed stream, invalid packet or early-ending trace fails the
-     * load (nothing partial is returned).
+     * load (nothing partial is returned). The header's branch count is
+     * untrusted: the columns reserve at most what the file's size can
+     * hold (compress::decodedSizeBound) and grow geometrically past it,
+     * so a header promising more branches than the file carries costs
+     * nothing before it fails as an early-ending trace.
      *
      * @param path    Trace file (possibly compressed).
      * @param options Decode pipeline knobs (block size, prefetch thread).
@@ -168,37 +175,17 @@ class MemTrace
     std::uint32_t numSites() const { return num_sites_; }
 
     /**
-     * Dense index of branch @p i 's site, assigned in first-seen order
-     * (0 .. numSites()-1). Lets per-site accounting use a plain array
-     * where a streaming consumer needs a hash map.
-     */
-    std::uint32_t siteIndex(std::size_t i) const { return site_index_p_[i]; }
-
-    /**
      * @return Distinct branch sites among the first @p count branches —
      * the `num_branch_instructions` a simulation stopping after
      * @p count branches observes. O(count/64) via a first-seen bitmap.
      */
     std::uint64_t staticSitesInPrefix(std::size_t count) const;
 
-    /** @return Instruction address of site @p s (s < numSites()). */
-    std::uint64_t siteIp(std::uint32_t s) const { return site_ips_p_[s]; }
-
-    /**
-     * Conditional executions of site @p s over the whole trace —
-     * precomputed at decode, so a full-trace collect_most_failed run
-     * reads its per-site occurrence totals instead of counting them
-     * branch by branch in the simulation loop.
-     */
-    std::uint64_t
-    siteCondOccurrences(std::uint32_t s) const
-    {
-        return site_cond_occ_p_[s];
-    }
-
-    // Raw column pointers for the fused block kernels
-    // (mbp/sim/kernels.hpp), which bulk-read the struct-of-arrays
-    // columns instead of materializing per-branch packets.
+    // Raw columns (BlockSource slices them): per branch, then per site —
+    // the dense site id of every branch (first-seen order), each site's
+    // address, and each site's conditional executions over the whole
+    // trace, precomputed at decode so a full-trace collect_most_failed
+    // run reads its occurrence totals instead of counting them.
     const std::uint64_t *ipData() const { return ips_p_; }
     const std::uint64_t *targetData() const { return targets_p_; }
     const std::uint64_t *instrNumData() const { return instr_nums_p_; }
@@ -211,8 +198,6 @@ class MemTrace
     }
 
   private:
-    friend class MemTraceCursor;
-
     /** Read-only mmap of an SBBT-A file, unmapped on destruction; keeps
      *  the borrowed columns of a mapped arena alive. */
     class ArenaMapping;
@@ -224,8 +209,8 @@ class MemTrace
 
     Header header_;
 
-    // Column views — the only pointers the accessors, cursors and fused
-    // kernels read. They alias either the owned vectors below (load())
+    // Column views — the only pointers the accessors and block sources
+    // read. They alias either the owned vectors below (load())
     // or an ArenaMapping (mapFile()).
     const std::uint64_t *ips_p_ = nullptr;
     const std::uint64_t *targets_p_ = nullptr;
@@ -254,87 +239,6 @@ class MemTrace
 
     std::uint64_t decompressed_bytes_ = 0;
     double load_seconds_ = 0.0;
-};
-
-/**
- * Replays a shared MemTrace with the SbbtReader consumption surface
- * (next/instrNumber/branchesRead/exhausted/...), so simulator code
- * templated over a trace source runs identically on both.
- *
- * Each concurrent consumer needs its own cursor; cursors share the arena.
- */
-class MemTraceCursor
-{
-  public:
-    explicit MemTraceCursor(std::shared_ptr<const MemTrace> trace)
-        : trace_(std::move(trace))
-    {
-        if (trace_ == nullptr) {
-            error_ = "null in-memory trace";
-            done_ = true;
-        } else {
-            size_ = trace_->size();
-        }
-    }
-
-    /** @return Whether the cursor has a trace to read. */
-    bool ok() const { return error_.empty(); }
-
-    /** @return "" — a loaded arena has no deferred errors. */
-    const std::string &error() const { return error_; }
-
-    /** @return The trace header. */
-    const Header &header() const { return trace_->header_; }
-
-    /** Advances to the next branch; false at end of arena. */
-    bool
-    next(PacketData &out)
-    {
-        if (pos_ == size_) {
-            done_ = true;
-            return false;
-        }
-        const MemTrace &t = *trace_;
-        out.branch = Branch{t.ips_p_[pos_], t.targets_p_[pos_],
-                            OpCode(t.meta_p_[pos_] & 0xf),
-                            (t.meta_p_[pos_] & 0x10) != 0};
-        const std::uint64_t n = t.instr_nums_p_[pos_];
-        out.instr_gap = static_cast<std::uint32_t>(n - instr_number_ - 1);
-        instr_number_ = n;
-        ++pos_;
-        return true;
-    }
-
-    /** @return 1-based instruction number of the most recent branch. */
-    std::uint64_t instrNumber() const { return instr_number_; }
-
-    /** @return Branches delivered so far. */
-    std::uint64_t branchesRead() const { return pos_; }
-
-    /**
-     * @return Whether the whole trace was consumed, mirroring
-     *         SbbtReader::exhausted(): true only after next() has
-     *         returned false at the end of the arena.
-     */
-    bool exhausted() const { return done_ && error_.empty(); }
-
-    /** @return Decompressed SBBT bytes of the one decode pass. */
-    std::uint64_t
-    decompressedBytes() const
-    {
-        return trace_ ? trace_->decompressed_bytes_ : 0;
-    }
-
-    /** @return 0 — the arena never stalls on a prefetch thread. */
-    double prefetchStallSeconds() const { return 0.0; }
-
-  private:
-    std::shared_ptr<const MemTrace> trace_;
-    std::string error_;
-    std::size_t size_ = 0;
-    std::size_t pos_ = 0;
-    std::uint64_t instr_number_ = 0;
-    bool done_ = false;
 };
 
 } // namespace mbp::sbbt

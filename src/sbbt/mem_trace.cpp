@@ -3,31 +3,48 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <limits>
 #include <utility>
 
-#include "mbp/utils/flat_hash_map.hpp"
+#include "mbp/compress/streams.hpp"
 
 namespace mbp::sbbt
 {
+
+namespace
+{
+
+template <typename T>
+void
+append(std::vector<T> &column, const T *values, std::size_t count)
+{
+    column.insert(column.end(), values, values + count);
+}
+
+} // namespace
 
 std::shared_ptr<const MemTrace>
 MemTrace::load(const std::string &path, const ReaderOptions &options,
                std::string *error)
 {
     const auto start = std::chrono::steady_clock::now();
-    SbbtReader reader(path, options);
-    if (!reader.ok()) {
+    BlockSource source(path, options);
+    if (!source.ok()) {
         if (error != nullptr)
-            *error = reader.error();
+            *error = source.error();
         return nullptr;
     }
 
     // make_shared is unavailable with the private constructor; the arena
     // is shared read-only so the separate control block costs nothing hot.
     std::shared_ptr<MemTrace> trace(new MemTrace());
-    trace->header_ = reader.header();
-    const std::size_t hint = trace->header_.branch_count;
+    trace->header_ = source.header();
+    // Reserve for the header's branch count, but never more than the file
+    // can hold: a crafted header must not drive the allocation.
+    const std::uint64_t bound = compress::decodedSizeBound(path);
+    const std::uint64_t fits =
+        bound > kHeaderSize ? (bound - kHeaderSize) / kPacketSize : 0;
+    const auto hint = static_cast<std::size_t>(
+        std::min(trace->header_.branch_count, fits));
     trace->ips_.reserve(hint);
     trace->targets_.reserve(hint);
     trace->instr_nums_.reserve(hint);
@@ -35,51 +52,41 @@ MemTrace::load(const std::string &path, const ReaderOptions &options,
     trace->site_index_.reserve(hint);
     trace->first_seen_.reserve((hint + 63) / 64);
 
-    // Site ids are assigned in first-seen order; the map stores id+1 so
-    // FlatHashMap's default-constructed 0 means "not seen yet".
-    util::FlatHashMap<std::uint32_t> site_of;
-    constexpr std::uint32_t kMaxSites =
-        std::numeric_limits<std::uint32_t>::max();
-
-    PacketData p;
-    while (reader.next(p)) {
-        trace->ips_.push_back(p.branch.ip());
-        trace->targets_.push_back(p.branch.target());
-        trace->instr_nums_.push_back(reader.instrNumber());
-        trace->meta_.push_back(static_cast<std::uint8_t>(
-            p.branch.opcode().bits() | (p.branch.isTaken() ? 0x10 : 0)));
-
-        std::uint32_t &slot = site_of[p.branch.ip()];
-        const std::size_t i = trace->site_index_.size();
-        if ((i & 63) == 0)
-            trace->first_seen_.push_back(0);
-        if (slot == 0) {
-            if (trace->num_sites_ == kMaxSites) {
-                if (error != nullptr)
-                    *error = "trace has 2^32-1 or more distinct branch "
-                             "sites; site index would overflow";
-                return nullptr;
+    Block block;
+    std::uint32_t seen = 0; // site ids are dense in first-seen order
+    while (source.next(block)) {
+        const std::size_t base = trace->ips_.size();
+        append(trace->ips_, block.ip, block.size);
+        append(trace->targets_, block.target, block.size);
+        append(trace->instr_nums_, block.instr, block.size);
+        append(trace->meta_, block.meta, block.size);
+        append(trace->site_index_, block.site, block.size);
+        trace->first_seen_.resize((base + block.size + 63) / 64, 0);
+        trace->site_cond_occ_.resize(source.numSites(), 0);
+        for (std::size_t i = 0; i < block.size; ++i) {
+            const std::uint32_t s = block.site[i];
+            if (s == seen) {
+                const std::size_t row = base + i;
+                trace->first_seen_[row / 64] |= std::uint64_t{1}
+                                                << (row & 63);
+                ++seen;
             }
-            slot = ++trace->num_sites_;
-            trace->first_seen_.back() |= std::uint64_t{1} << (i & 63);
-            trace->site_ips_.push_back(p.branch.ip());
-            trace->site_cond_occ_.push_back(0);
+            // Predictor-independent accounting, paid once at decode: the
+            // per-site conditional-execution totals every full-trace
+            // collect_most_failed run needs.
+            trace->site_cond_occ_[s] += block.meta[i] & kMetaConditional;
         }
-        trace->site_index_.push_back(slot - 1);
-        // Predictor-independent accounting, paid once at decode: the
-        // per-site conditional-execution totals every full-trace
-        // collect_most_failed run needs (the fused kernels then only
-        // count mispredictions in their hot loop).
-        if (p.branch.isConditional())
-            ++trace->site_cond_occ_[slot - 1];
     }
-    if (!reader.error().empty()) {
+    if (!source.error().empty()) {
         if (error != nullptr)
-            *error = reader.error();
+            *error = source.error();
         return nullptr;
     }
+    trace->num_sites_ = source.numSites();
+    trace->site_ips_.assign(source.siteIps(),
+                            source.siteIps() + trace->num_sites_);
     trace->adoptOwnedColumns();
-    trace->decompressed_bytes_ = reader.decompressedBytes();
+    trace->decompressed_bytes_ = source.decompressedBytes();
     trace->load_seconds_ =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -1,48 +1,51 @@
 /**
  * @file
- * Fused batched simulation kernels over the decode-once arena.
+ * The simulation loops: one per shape, over sbbt::BlockSource blocks.
  *
- * The virtual simulators (mbp/sim/simulator.hpp) spend most of a cheap
- * predictor's run on per-branch overhead: the cursor call, three virtual
- * dispatches (predict/train/track) and two hash probes (site census +
- * per-branch ranking). The kernels in this header remove all of it for
- * predictors whose concrete type is known at compile time
- * (mbp::PredictorLike, no vtable required):
+ * Every run reads its trace as 4096-branch struct-of-arrays blocks —
+ * zero-copy arena slices or blocks decoded on the fly with decode-time
+ * dense site ids (mbp/sbbt/blocks.hpp) — and drives the predictors with
+ * exactly one of two loops:
  *
- *  - the sbbt::MemTrace struct-of-arrays columns are bulk-read directly,
- *    in fixed-size blocks, instead of materializing per-branch packets;
+ *  - detail::fusedRange<P> for one predictor (simulate(),
+ *    simulateFused()). P is the predictor's static type; P =
+ *    mbp::Predictor is simply the virtual case, since the bound calls
+ *    (detail::boundPredict) dispatch whenever P is abstract;
+ *  - the BlockKernel::runBlock + accountBlock driver for N predictors
+ *    (compare(), simulateMany() and their fused drop-ins). The virtual
+ *    entry points wrap each Predictor in FusedKernel<Predictor>.
+ *
+ * For a predictor whose concrete type is known at compile time
+ * (mbp::PredictorLike, no vtable required) the loops remove the
+ * per-branch overhead a cheap predictor would otherwise be dominated by:
+ *
  *  - predict/train/track are inlined into the loop body (template
  *    dispatch, zero virtual calls on the single-predictor path and one
  *    per block-x-predictor on the N-predictor path);
- *  - the per-site hash probes become array indexing through the arena's
- *    precomputed dense site ids (MemTrace::siteIndex), the hashing having
- *    been paid once at decode;
+ *  - per-site accounting is array indexing through the blocks' dense
+ *    site ids, the hashing having been paid once at decode;
  *  - predictors whose address hash factors into a pure per-site value
- *    (KernelSiteFold) get it memoized once per static site, so the
- *    single-predictor hot loop does no address hashing at all and never
- *    touches the 8-byte ip column;
+ *    (KernelSiteFold) get it memoized once per static site per run, so
+ *    the single-predictor hot loop does no address hashing at all and
+ *    never touches the 8-byte ip column;
  *  - warmup and instruction-limit checks leave the loop entirely: the
- *    branch columns are pre-partitioned into [unmeasured) [measured)
- *    ranges by binary search, and each range runs a loop specialized on
- *    its measurement flag;
- *  - on the N-predictor block driver, predictors exposing a
- *    `prefetchHint(ip)` address (KernelPrefetchable) get their counter
+ *    source stops at the limit, each block is split at its first
+ *    measured branch by binary search, and each range runs a loop
+ *    specialized on its measurement flag;
+ *  - on the N-predictor driver, predictors exposing
+ *    `prefetchHints(ip, span)` (KernelMultiPrefetch) get their counter
  *    lines software-prefetched a fixed distance ahead, covering the
  *    re-warm misses caused by N predictors evicting each other between
- *    blocks; multi-bank predictors (the TAGE family) instead expose
- *    `prefetchHints(ip, span)` (KernelMultiPrefetch) and get one hint
- *    per tagged bank, at a per-predictor distance when they declare one
- *    (P::kPrefetchDistance). (The single-predictor loop deliberately
+ *    blocks — one hint for a single-table predictor, one per tagged bank
+ *    for the TAGE family, at a per-predictor distance when they declare
+ *    one (P::kPrefetchDistance). (The single-predictor loop deliberately
  *    does not prefetch: its counter lines stay resident on their own,
  *    and the extra hint computation measurably slows the loop.)
  *
- * Results are bit-identical to the virtual arena path — same prediction
- * stream, same output document modulo the timing fields; the conformance
- * suite pins this for the whole roster. When SimArgs resolves to the
- * streaming reader instead of an arena (in_memory unset, or mem_budget
- * exceeded), these entry points transparently run the shared streaming
- * core with devirtualized predictor calls, so callers never need a
- * fallback of their own.
+ * The fused entry points are drop-ins for the virtual ones: same
+ * prediction stream, same output document modulo the timing fields, over
+ * streaming and arena sources alike; the conformance suite pins this for
+ * the whole roster against an independent reference simulator.
  *
  * @code
  *   Gshare<15, 17> predictor;
@@ -66,22 +69,13 @@
 #include <vector>
 
 #include "mbp/json/json.hpp"
-#include "mbp/sbbt/mem_trace.hpp"
+#include "mbp/sbbt/blocks.hpp"
 #include "mbp/sim/concepts.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 #include "mbp/sim/simulator.hpp"
 
 namespace mbp
 {
-
-/**
- * Branches per kernel block. Large enough to amortize the one virtual
- * runBlock() call per (block x predictor) on the N-predictor path into
- * noise, small enough that a block's three hot columns (ip + meta +
- * guesses, 10 B/branch) stay resident in L1d between the predict pass
- * and the accounting pass.
- */
-inline constexpr std::size_t kKernelBlockBranches = 4096;
 
 /**
  * Branches of lookahead for the software counter-line prefetch. Far
@@ -91,18 +85,6 @@ inline constexpr std::size_t kKernelBlockBranches = 4096;
 inline constexpr std::size_t kKernelPrefetchDistance = 16;
 
 /**
- * A predictor that can name the counter line a future lookup for @p ip
- * will touch, so the kernels can software-prefetch it ahead of the loop.
- * The address only steers a prefetch: it may be approximate (e.g. Gshare
- * hashes with the *current* history, not the one at lookup time) —
- * correctness never depends on it.
- */
-template <typename P>
-concept KernelPrefetchable = requires(const P &predictor, std::uint64_t ip) {
-    { predictor.prefetchHint(ip) } -> std::convertible_to<const void *>;
-};
-
-/**
  * Upper bound on the addresses one prefetchHints() call may produce.
  * Bounds the block driver's stack buffer; predictors with more banks
  * than this simply hint their first kKernelMaxPrefetchHints ones.
@@ -110,13 +92,14 @@ concept KernelPrefetchable = requires(const P &predictor, std::uint64_t ip) {
 inline constexpr std::size_t kKernelMaxPrefetchHints = 16;
 
 /**
- * A predictor that touches several counter lines per lookup (one per
- * tagged bank in the TAGE family) and can name them all:
+ * A predictor that can name the counter lines a future lookup will
+ * touch, so the N-predictor block driver can software-prefetch them:
  * `prefetchHints(ip, out)` writes up to out.size() addresses for a
- * future lookup of @p ip and returns how many it wrote. Like
- * prefetchHint, the addresses only steer prefetches and may be
- * approximate — correctness never depends on them. Takes precedence
- * over KernelPrefetchable in the block driver when both are offered.
+ * lookup of @p ip and returns how many it wrote — one for a single-table
+ * predictor, one per tagged bank in the TAGE family. The addresses only
+ * steer prefetches and may be approximate (e.g. Gshare hashes with the
+ * *current* history, not the one at lookup time) — correctness never
+ * depends on them.
  */
 template <typename P>
 concept KernelMultiPrefetch =
@@ -171,11 +154,11 @@ concept KernelFusedStep = requires(P &p, std::uint64_t ip, bool taken) {
  * component: `siteFold(ip)` must depend on nothing but @p ip, and
  * `fusedStepFolded(siteFold(ip), taken)` must be *exactly*
  * `fusedStep(ip, taken)`. The single-predictor kernel then evaluates
- * `siteFold` once per static branch site (through the arena's dense site
- * ids) instead of once per dynamic branch — for table predictors this
- * removes the whole address hash from the hot loop, which stops reading
- * the 8-byte ip column entirely and indexes a tiny per-site fold table
- * instead.
+ * `siteFold` once per static branch site and run (through the blocks'
+ * dense site ids) instead of once per dynamic branch — for table
+ * predictors this removes the whole address hash from the hot loop,
+ * which stops reading the 8-byte ip column entirely and indexes a tiny
+ * per-site fold table instead.
  */
 template <typename P>
 concept KernelSiteFold =
@@ -200,21 +183,25 @@ prefetchLine(const void *address)
 #endif
 }
 
-/** Accumulated state of a single-predictor fused run. */
+/** Accumulated state of a single-predictor run. */
 struct FusedRunState
 {
     std::uint64_t dynamic_cond = 0;
     std::uint64_t mispredictions = 0;
-    // Per-site misprediction counters indexed directly by the arena's
-    // dense site id — the only per-site quantity that depends on the
-    // predictor. Occurrence totals and site addresses come from the
-    // arena's decode-time site tables, so the loop's collect work is a
-    // single counter add per measured conditional.
+    // Per-site counters indexed by the blocks' dense site ids: the
+    // mispredictions (the only per-site quantity that depends on the
+    // predictor) and, unless the source knows them up front
+    // (BlockSource::siteCondOccurrences), the measured conditional
+    // executions. Together they are the ranking rows.
     std::vector<std::uint64_t> site_mis;
+    std::vector<std::uint64_t> site_occ;
+    const std::uint64_t *known_occ = nullptr;
+    // Per-site address folds (KernelSiteFold), one per site per run.
+    std::vector<std::uint64_t> fold;
 };
 
 /**
- * The fused single-predictor loop over arena branches [begin, end), all
+ * The single-predictor loop over branches [begin, end) of @p block, all
  * sharing one measurement flag. kHook/kCollect/kMeasured specialize the
  * body at compile time: the default fast configuration is pure
  * predict/train/track plus two counter increments per branch.
@@ -227,33 +214,19 @@ struct FusedRunState
  */
 template <typename P, bool kHook, bool kCollect, bool kMeasured>
 inline void
-fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
+fusedRange(P &predictor, const SimArgs &args, const sbbt::Block &block,
            std::size_t begin, std::size_t end, FusedRunState &state)
 {
-    const std::uint64_t *ips = trace.ipData();
-    const std::uint64_t *targets = trace.targetData();
-    const std::uint64_t *instr = trace.instrNumData();
-    const std::uint8_t *meta = trace.metaData();
-    const std::uint32_t *sites = trace.siteIndexData();
+    const std::uint64_t *ips = block.ip;
+    const std::uint64_t *targets = block.target;
+    const std::uint64_t *instr = block.instr;
+    const std::uint8_t *meta = block.meta;
+    const std::uint32_t *sites = block.site;
     // A hook may observe the predictor between predict and train, so the
     // fused substitutions only apply on hook-free runs.
     constexpr bool kFusedStep = KernelFusedStep<P> && !kHook;
     constexpr bool kSiteFold = KernelSiteFold<P> && !kHook;
-    // Per-site address folds, evaluated once per static site instead of
-    // once per dynamic branch (KernelSiteFold): a few hundred hashes up
-    // front buy a hot loop with no address hashing at all.
-    std::vector<std::uint64_t> fold;
-    const std::uint64_t *site_fold = nullptr;
-    if constexpr (kSiteFold) {
-        if (begin != end) {
-            const std::uint32_t n = trace.numSites();
-            const std::uint64_t *site_ips = trace.siteIpData();
-            fold.resize(n);
-            for (std::uint32_t s = 0; s < n; ++s)
-                fold[s] = predictor.siteFold(site_ips[s]);
-            site_fold = fold.data();
-        }
-    }
+    const std::uint64_t *site_fold = state.fold.data();
     // Locals, not state members: the counter stores below would
     // otherwise force the compiler to reload them every iteration.
     std::uint64_t dynamic_cond = 0;
@@ -262,8 +235,8 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
     const bool track_all = !args.track_only_conditional;
     for (std::size_t i = begin; i < end; ++i) {
         const std::uint8_t m = meta[i];
-        if ((m & 0x01) != 0) { // conditional
-            const bool taken = (m & 0x10) != 0;
+        if ((m & sbbt::kMetaConditional) != 0) {
+            const bool taken = (m & sbbt::kMetaTaken) != 0;
             bool guess;
             if constexpr (kSiteFold)
                 guess = predictor.fusedStepFolded(site_fold[sites[i]],
@@ -271,12 +244,10 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
             else if constexpr (kFusedStep)
                 guess = predictor.fusedStep(ips[i], taken);
             else
-                guess = detail::boundPredict(predictor, ips[i]);
-            if constexpr (kHook) {
-                const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                               taken};
-                args.prediction_hook(b, guess, instr[i], kMeasured, 0);
-            }
+                guess = boundPredict(predictor, ips[i]);
+            if constexpr (kHook)
+                args.prediction_hook(block.branch(i), guess, instr[i],
+                                     kMeasured, 0);
             if constexpr (kMeasured) {
                 ++dynamic_cond;
                 const bool miss = guess != taken;
@@ -285,118 +256,104 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
                     site_mis[sites[i]] += miss ? 1 : 0;
             }
             if constexpr (!kFusedStep) {
-                const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                               taken};
-                detail::boundTrain(predictor, b);
-                detail::boundTrack(predictor, b); // conditionals: always
+                const Branch b{ips[i], targets[i], OpCode(m & 0x0f), taken};
+                boundTrain(predictor, b);
+                boundTrack(predictor, b); // conditionals: always
             }
         } else if (track_all) {
-            const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                           (m & 0x10) != 0};
-            detail::boundTrack(predictor, b);
+            boundTrack(predictor, block.branch(i));
         }
     }
     state.dynamic_cond += dynamic_cond;
     state.mispredictions += total_miss;
 }
 
+/** Drains @p source through fusedRange, block by block. */
 template <typename P, bool kHook, bool kCollect>
 inline void
-fusedRun(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
-         std::size_t mid, std::size_t stop, FusedRunState &state)
+fusedRun(P &predictor, const SimArgs &args, sbbt::BlockSource &source,
+         FusedRunState &state)
 {
-    fusedRange<P, kHook, kCollect, false>(predictor, args, trace, 0, mid,
-                                          state);
-    fusedRange<P, kHook, kCollect, true>(predictor, args, trace, mid,
-                                         stop, state);
+    // Per-site occurrence totals for the ranking rows: an arena read to
+    // its end with no warmup branch already knows them; otherwise each
+    // block counts its measured slice — predictor-free column work, kept
+    // inside the timed region like the rest of the accounting.
+    state.known_occ = kCollect ? source.siteCondOccurrences() : nullptr;
+    sbbt::Block block;
+    while (source.next(block)) {
+        const std::uint32_t num_sites = source.numSites();
+        if constexpr (KernelSiteFold<P> && !kHook) {
+            const std::uint64_t *site_ips = source.siteIps();
+            for (std::size_t s = state.fold.size(); s < num_sites; ++s)
+                state.fold.push_back(predictor.siteFold(site_ips[s]));
+        }
+        if constexpr (kCollect)
+            state.site_mis.resize(num_sites, 0);
+        // Instruction numbers only grow, so only a run's first block can
+        // hold a warmup branch; then the up-front totals do not apply.
+        const std::size_t mid = firstMeasured(block, args);
+        if (mid != 0)
+            state.known_occ = nullptr;
+        fusedRange<P, kHook, kCollect, false>(predictor, args, block, 0,
+                                              mid, state);
+        fusedRange<P, kHook, kCollect, true>(predictor, args, block, mid,
+                                             block.size, state);
+        if (kCollect && state.known_occ == nullptr) {
+            state.site_occ.resize(num_sites, 0);
+            for (std::size_t i = mid; i < block.size; ++i)
+                state.site_occ[block.site[i]] +=
+                    block.meta[i] & sbbt::kMetaConditional;
+        }
+    }
 }
 
-/** The fused simulate() over a resolved arena: loop plus report. */
+/** The one-predictor simulation: open, drain through fusedRun, report. */
 template <typename P>
 json_t
-fusedArenaSimulate(const char *kName, P &predictor, const SimArgs &args,
-                   const std::shared_ptr<const sbbt::MemTrace> &trace,
-                   double load_seconds)
+simulateBlocks(const char *kName, P &predictor, const SimArgs &args)
 {
-    const sbbt::MemTrace &t = *trace;
-    const std::size_t total = t.size();
-    const std::uint64_t limit = instrLimit(args);
-    const std::uint64_t *instr = t.instrNumData();
-
-    // Pre-partition the run: branches [0, stop) fall inside the
-    // instruction limit, branches [mid, stop) inside the measured
-    // window. The loops then carry no per-branch limit or warmup check.
-    const std::size_t stop = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + total, limit) - instr);
-    const std::size_t mid = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + stop, args.warmup_instr) - instr);
+    Timing timing;
+    std::string error;
+    std::unique_ptr<sbbt::BlockSource> source =
+        openTrace(args, timing, error);
+    if (source == nullptr)
+        return errorResult(kName, args, error);
 
     FusedRunState state;
-    if (args.collect_most_failed)
-        state.site_mis.assign(static_cast<std::size_t>(t.numSites()), 0);
     const bool hook = static_cast<bool>(args.prediction_hook);
-
     auto start_time = std::chrono::steady_clock::now();
     if (hook) {
         if (args.collect_most_failed)
-            fusedRun<P, true, true>(predictor, args, t, mid, stop, state);
+            fusedRun<P, true, true>(predictor, args, *source, state);
         else
-            fusedRun<P, true, false>(predictor, args, t, mid, stop, state);
+            fusedRun<P, true, false>(predictor, args, *source, state);
     } else {
         if (args.collect_most_failed)
-            fusedRun<P, false, true>(predictor, args, t, mid, stop, state);
+            fusedRun<P, false, true>(predictor, args, *source, state);
         else
-            fusedRun<P, false, false>(predictor, args, t, mid, stop,
-                                      state);
+            fusedRun<P, false, false>(predictor, args, *source, state);
     }
-    // Per-site occurrence totals for the ranking rows. A full-trace run
-    // (the default SimArgs) reads the arena's decode-time totals; a
-    // windowed run re-counts its [mid, stop) slice — predictor-free
-    // column work, kept inside the timed region because the virtual
-    // path pays its equivalent inside the loop.
-    std::vector<std::uint64_t> window_occ;
-    const std::uint64_t *site_occ = nullptr;
-    if (args.collect_most_failed) {
-        if (mid == 0 && stop == total) {
-            site_occ = t.siteCondOccData();
-        } else {
-            window_occ.assign(static_cast<std::size_t>(t.numSites()), 0);
-            const std::uint32_t *sites = t.siteIndexData();
-            const std::uint8_t *meta = t.metaData();
-            for (std::size_t i = mid; i < stop; ++i)
-                window_occ[sites[i]] += meta[i] & 0x01;
-            site_occ = window_occ.data();
-        }
-    }
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    // Window accounting mirrors the cursor path exactly: a limit-stopped
-    // run's "last seen" branch is the first one past the limit (the
-    // virtual loop reads it before breaking), an exhausted run's is the
-    // final branch of the trace.
-    const bool exhausted = stop == total;
-    const std::uint64_t last_instr =
-        stop < total ? instr[stop] : (total > 0 ? instr[total - 1] : 0);
-    const std::uint64_t simulation_instr =
-        measuredInstr(args, t.header().instruction_count, exhausted,
-                      last_instr, limit);
+    timing.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start_time)
+                         .count();
+    if (!source->error().empty())
+        return errorResult(kName, args, source->error());
 
     std::vector<std::pair<std::uint64_t, BranchStat>> rows;
     if (args.collect_most_failed) {
-        for (std::uint32_t s = 0; s < t.numSites(); ++s) {
+        const std::uint64_t *site_occ = state.known_occ != nullptr
+                                            ? state.known_occ
+                                            : state.site_occ.data();
+        const std::uint64_t *site_ips = source->siteIps();
+        for (std::size_t s = 0; s < state.site_mis.size(); ++s) {
             if (state.site_mis[s] > 0)
-                rows.emplace_back(t.siteIp(s),
-                                  BranchStat{site_occ[s],
-                                             state.site_mis[s], 0});
+                rows.emplace_back(site_ips[s], BranchStat{site_occ[s],
+                                                          state.site_mis[s]});
         }
     }
-    Throughput tp{seconds, t.decompressedBytes(), 0.0, load_seconds};
-    return buildSimulateDoc(kName, predictor, args, simulation_instr,
-                            exhausted, t.staticSitesInPrefix(stop),
-                            state.dynamic_cond, stop,
-                            state.mispredictions, std::move(rows), tp);
+    return buildSimulateDoc(kName, predictor, args, *source, timing,
+                            state.dynamic_cond, state.mispredictions,
+                            std::move(rows));
 }
 
 } // namespace detail
@@ -404,48 +361,27 @@ fusedArenaSimulate(const char *kName, P &predictor, const SimArgs &args,
 /**
  * Fused drop-in for simulate(): same SimArgs contract, same output
  * document (modulo timing fields), but with @p predictor's concrete type
- * known at compile time so the hot loop carries no virtual dispatch, no
- * packet materialization and no hash probes. P must be the most-derived
- * type of @p predictor: the loop binds predict/train/track at compile
- * time (detail::boundPredict), which would skip overriders in a class
- * further derived from P. When the run resolves to
- * the streaming reader instead of an arena (SimArgs::in_memory unset,
- * or mem_budget exceeded), the shared streaming core runs with
- * devirtualized predictor calls — still a speedup, just without the
- * arena-only batching.
+ * known at compile time so the hot loop carries no virtual dispatch.
+ * P must be the most-derived type of @p predictor: the loop binds
+ * predict/train/track at compile time (detail::boundPredict), which would
+ * skip overriders in a class further derived from P.
  */
 template <PredictorLike P>
 json_t
 simulateFused(P &predictor, const SimArgs &args)
 {
-    const char *kName = detail::kStdSimulatorName;
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        return detail::fusedArenaSimulate(kName, predictor, args,
-                                          arena.trace,
-                                          arena.load_seconds);
-    }
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateCore(kName, predictor, args, reader, 0.0);
+    return detail::simulateBlocks(detail::kStdSimulatorName, predictor,
+                                  args);
 }
 
 /**
- * Type-erased handle to a fused predictor for the N-predictor kernels:
- * where the virtual simulators pay three dispatches per branch, a
- * BlockKernel pays one — runBlock(), which runs a whole arena block
- * (kKernelBlockBranches branches) through the concrete predictor's
- * inlined predict/train/track and records the prediction bits for the
- * shared accounting pass.
- *
- * The per-branch virtuals exist so the same object can drive the shared
- * streaming core when a run falls back off the arena, and so the report
- * builders can query metadata; deliberately *not* a mbp::Predictor (no
- * storage_components), so the fused and virtual entry points can never
- * be confused by overload resolution.
+ * Type-erased handle to a predictor for the N-predictor driver: one
+ * virtual runBlock() per block x predictor runs a whole block through the
+ * predictor's inlined predict/train/track and records the prediction
+ * bits for the shared accounting pass. The remaining virtuals feed the
+ * report. Deliberately *not* a mbp::Predictor (no storage_components),
+ * so the fused and virtual entry points can never be confused by
+ * overload resolution.
  */
 class BlockKernel
 {
@@ -455,26 +391,26 @@ class BlockKernel
     BlockKernel &operator=(const BlockKernel &) = delete;
     virtual ~BlockKernel() = default;
 
-    virtual bool predict(std::uint64_t ip) = 0;
-    virtual void train(const Branch &branch) = 0;
-    virtual void track(const Branch &branch) = 0;
     virtual json_t metadata_stats() const = 0;
     virtual json_t execution_stats() const = 0;
     virtual std::uint64_t storageBits() const = 0;
     virtual bool reportsStorage() const = 0;
 
     /**
-     * Runs arena branches [begin, end) through the predictor —
-     * predict + train on conditionals, track per @p track_all — and
-     * writes each branch's prediction (0/1; 0 for unconditionals) to
-     * @p guesses[i - begin]. @p guesses must hold end - begin bytes.
+     * Runs every branch of @p block through the predictor — predict +
+     * train on conditionals, track per @p track_all — and writes each
+     * branch's prediction (0/1; 0 for unconditionals) to @p guesses[i].
+     * @p guesses must hold block.size bytes.
      */
-    virtual void runBlock(const sbbt::MemTrace &trace, std::size_t begin,
-                          std::size_t end, bool track_all,
+    virtual void runBlock(const sbbt::Block &block, bool track_all,
                           std::uint8_t *guesses) = 0;
 };
 
-/** The one BlockKernel implementation: fuses a concrete PredictorLike. */
+/**
+ * The one BlockKernel implementation. P is a concrete PredictorLike type
+ * (inlined calls) or mbp::Predictor (virtual calls, as compare() and
+ * simulateMany() use it).
+ */
 template <PredictorLike P>
 class FusedKernel final : public BlockKernel
 {
@@ -488,18 +424,6 @@ class FusedKernel final : public BlockKernel
     {
     }
 
-    bool predict(std::uint64_t ip) override
-    {
-        return predictor_->predict(ip);
-    }
-    void train(const Branch &branch) override
-    {
-        predictor_->train(branch);
-    }
-    void track(const Branch &branch) override
-    {
-        predictor_->track(branch);
-    }
     json_t metadata_stats() const override
     {
         return predictor_->metadata_stats();
@@ -518,15 +442,14 @@ class FusedKernel final : public BlockKernel
     }
 
     void
-    runBlock(const sbbt::MemTrace &trace, std::size_t begin,
-             std::size_t end, bool track_all,
+    runBlock(const sbbt::Block &block, bool track_all,
              std::uint8_t *guesses) override
     {
         P &p = *predictor_;
-        const std::uint64_t *ips = trace.ipData();
-        const std::uint64_t *targets = trace.targetData();
-        const std::uint8_t *meta = trace.metaData();
-        for (std::size_t i = begin; i < end; ++i) {
+        const std::uint64_t *ips = block.ip;
+        const std::uint8_t *meta = block.meta;
+        const std::size_t end = block.size;
+        for (std::size_t i = 0; i < end; ++i) {
             if constexpr (KernelMultiPrefetch<P>) {
                 const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
                 if (ahead < end) {
@@ -536,32 +459,24 @@ class FusedKernel final : public BlockKernel
                     for (std::size_t h = 0; h < n; ++h)
                         detail::prefetchLine(hints[h]);
                 }
-            } else if constexpr (KernelPrefetchable<P>) {
-                const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
-                if (ahead < end)
-                    detail::prefetchLine(p.prefetchHint(ips[ahead]));
             }
             const std::uint8_t m = meta[i];
-            if ((m & 0x01) != 0) {
-                const bool taken = (m & 0x10) != 0;
+            if ((m & sbbt::kMetaConditional) != 0) {
+                const bool taken = (m & sbbt::kMetaTaken) != 0;
                 bool guess;
                 if constexpr (KernelFusedStep<P>) {
                     guess = p.fusedStep(ips[i], taken);
                 } else {
                     guess = detail::boundPredict(p, ips[i]);
-                    const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                                   taken};
+                    const Branch b = block.branch(i);
                     detail::boundTrain(p, b);
                     detail::boundTrack(p, b);
                 }
-                guesses[i - begin] = guess ? 1 : 0;
+                guesses[i] = guess ? 1 : 0;
             } else {
-                guesses[i - begin] = 0;
-                if (track_all) {
-                    const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                                   (m & 0x10) != 0};
-                    detail::boundTrack(p, b);
-                }
+                guesses[i] = 0;
+                if (track_all)
+                    detail::boundTrack(p, block.branch(i));
             }
         }
     }
@@ -571,21 +486,26 @@ class FusedKernel final : public BlockKernel
     P *predictor_;
 };
 
-/** Heap-builds a fused kernel owning a fresh @p P (factory helper). */
-template <PredictorLike P, typename... Args>
-std::unique_ptr<BlockKernel>
-makeFusedKernel(Args &&...args)
+namespace detail
 {
-    return std::make_unique<FusedKernel<P>>(
-        std::make_unique<P>(std::forward<Args>(args)...));
-}
+
+/**
+ * The N-predictor simulation behind compare(), simulateMany() and their
+ * fused drop-ins: per block, every kernel runs the block and records its
+ * guesses, then one accounting pass consumes them (@p kName names the
+ * document's simulator).
+ */
+json_t simulateKernels(const char *kName,
+                       const std::vector<BlockKernel *> &kernels,
+                       const SimArgs &args);
+
+} // namespace detail
 
 /**
  * Fused drop-in for simulateMany() over pre-built kernels: one pass over
  * the trace feeds all predictors block by block, interleaved so each
  * block's columns are read once while hot. Same output document as
- * simulateMany() (modulo timing fields); streaming runs fall back to the
- * shared core driven through the kernels' per-branch interface.
+ * simulateMany() (modulo timing fields).
  */
 json_t simulateManyFused(const std::vector<BlockKernel *> &kernels,
                          const SimArgs &args);

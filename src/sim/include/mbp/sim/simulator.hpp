@@ -134,15 +134,6 @@ struct SimArgs
     bool collect_most_failed = true;
 
     /**
-     * Packets the trace reader decodes per refill (sbbt::ReaderOptions).
-     * The default block turns the per-packet virtual read of the seed
-     * pipeline into one bulk read per 64 KiB; 1 restores the seed
-     * packet-at-a-time behavior (useful for A/B measurement, see
-     * bench/micro_bench's trace-pipeline cases).
-     */
-    std::size_t reader_block_packets = 4096;
-
-    /**
      * Decompress the trace on a background thread (two-slot ring,
      * compress::PrefetchSource) so inflate/FLZ decode overlaps with
      * prediction. Results are bit-identical with or without; only
@@ -181,17 +172,22 @@ struct SimArgs
 
     /**
      * Branch-level observation hook: invoked for every conditional branch
-     * with the prediction just made (before train/track), the 1-based
-     * instruction number of the branch, whether the branch falls in the
-     * measured (post-warmup) window, and the index of the predictor that
-     * made the prediction (0 in simulate(); 0..N-1 per branch in
-     * compare()/simulateMany(), in roster order). Lets external checkers
-     * run in lockstep with the simulation — the conformance tests capture
-     * the exact prediction stream through it, and mbp::testkit's
-     * metamorphic oracles rebuild per-window misprediction counts from
-     * it. Accepts both the canonical 5-argument signature and the legacy
-     * 4-argument one (see PredictionHook). Leave empty (the default) for
-     * zero overhead beyond one branch per event.
+     * with the prediction made for it, the 1-based instruction number of
+     * the branch, whether the branch falls in the measured (post-warmup)
+     * window, and the index of the predictor that made the prediction (0
+     * in simulate(); 0..N-1 per branch in compare()/simulateMany(), in
+     * roster order). In simulate() the hook fires right after predict(),
+     * before train/track. In compare()/simulateMany() (and their fused
+     * drop-ins) each predictor runs a whole block first and the hooks
+     * fire per block from the recorded guesses — still branch-major with
+     * the predictor index ascending, so the event stream is unchanged,
+     * but the predictors have already moved on when a hook observes them.
+     * Lets external checkers run in lockstep with the simulation — the
+     * conformance tests capture the exact prediction stream through it,
+     * and mbp::testkit's metamorphic oracles rebuild per-window
+     * misprediction counts from it. Accepts both the canonical 5-argument
+     * signature and the legacy 4-argument one (see PredictionHook). Leave
+     * empty (the default) for zero overhead.
      */
     PredictionHook prediction_hook;
 };
@@ -228,7 +224,8 @@ json_t compare(Predictor &a, Predictor &b, const SimArgs &args);
  * `mispredictions_i` / `accuracy_i`, and `most_failed` ranks branches by
  * `mpki_spread` (max − min misprediction MPKI across predictors; for
  * N == 2 the field is the signed `mpki_diff`, as in compare()). Each
- * predictor trains and tracks independently. Like simulate(),
+ * predictor trains and tracks independently, a block of branches at a
+ * time, so the entries must be distinct objects. Like simulate(),
  * `SimArgs::collect_most_failed` gates the per-branch ranking (when
  * disabled, `most_failed` and `num_most_failed_branches` are omitted)
  * and `SimArgs::prediction_hook` fires for every (conditional branch ×
@@ -248,27 +245,13 @@ json_t simulateMany(const std::vector<Predictor *> &predictors,
  *
  * This lives in the library rather than in user scripts because running
  * the training set is *the* evaluation workflow of the field (§II); user
- * code can still iterate manually for custom aggregation.
+ * code can still iterate manually for custom aggregation. For a parallel
+ * or multi-predictor campaign over the same traces, use mbp::sweep::run,
+ * which reports the same arithmetic-mean MPKI per predictor.
  */
 json_t simulateSuite(
     const std::function<std::unique_ptr<Predictor>()> &factory,
     const std::vector<std::string> &trace_paths, const SimArgs &base_args);
-
-/**
- * Parallel variant of simulateSuite: traces are distributed over
- * @p num_threads worker threads, each with its own fresh predictor, so
- * the result is bit-identical to the sequential run (modulo
- * `simulation_time` fields). Trace-level parallelism is the natural unit
- * — and something the user can only do because MBPlib is a library that
- * leaves program execution to the caller (paper §VI-B).
- *
- * @param num_threads Worker count (values < 2 fall back to the
- *                    sequential driver).
- */
-json_t simulateSuiteParallel(
-    const std::function<std::unique_ptr<Predictor>()> &factory,
-    const std::vector<std::string> &trace_paths, const SimArgs &base_args,
-    unsigned num_threads);
 
 /**
  * Analytic CPI model from the paper's motivation (§II): an in-order

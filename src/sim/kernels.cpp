@@ -1,27 +1,22 @@
 /**
  * @file
- * The N-predictor fused block driver behind simulateManyFused() and
- * compareFused().
+ * The N-predictor block driver behind compare(), simulateMany(),
+ * simulateManyFused() and compareFused().
  *
- * Per arena block of kKernelBlockBranches branches, each kernel runs the
- * block through its inlined predict/train/track (one virtual runBlock
- * call per block x predictor) and records its prediction bits; a shared
- * accounting pass then consumes the guess rows — misprediction totals,
- * per-site ranking rows through the arena's dense site ids, and the
- * prediction hook in the exact order the virtual loop fires it
- * (branch-major, predictor index ascending).
+ * Per block, each kernel runs the block through its predictor (one
+ * virtual runBlock call per block x predictor) and records its
+ * prediction bits; a shared accounting pass then consumes the guess rows
+ * — misprediction totals, per-site ranking rows through the blocks'
+ * dense site ids, and the prediction hook, replayed from the recorded
+ * guesses branch-major with the predictor index ascending.
  */
 #include "mbp/sim/kernels.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/sbbt/reader.hpp"
+#include "mbp/sbbt/blocks.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 
 namespace mbp
@@ -30,8 +25,8 @@ namespace mbp
 namespace
 {
 
-/** Accumulated state of an N-predictor fused run. */
-struct FusedManyState
+/** Accumulated state of an N-predictor run. */
+struct ManyState
 {
     std::uint64_t dynamic_cond = 0;
     std::vector<std::uint64_t> mispredictions;
@@ -40,47 +35,47 @@ struct FusedManyState
     std::vector<std::uint32_t> site_row; // value = row index + 1
     std::vector<std::uint64_t> rows;
     std::vector<std::uint64_t> row_ips;
+    std::string error;
 };
 
 /**
  * The accounting pass over one block's guess rows. kHook/kCollect
- * specialize the body like the core loops do; @p mid is the global index
- * of the first measured branch.
+ * specialize the body like the single-predictor loop; @p mid is the
+ * index of the block's first measured branch.
  */
 template <bool kHook, bool kCollect>
 void
-accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
-             std::size_t end, std::size_t mid, std::size_t n,
+accountBlock(const sbbt::Block &block, std::size_t mid, std::size_t n,
              const SimArgs &args,
              const std::vector<std::vector<std::uint8_t>> &guesses,
-             FusedManyState &state)
+             ManyState &state)
 {
-    const std::uint64_t *ips = trace.ipData();
-    const std::uint64_t *targets = trace.targetData();
-    const std::uint64_t *instr = trace.instrNumData();
-    const std::uint8_t *meta = trace.metaData();
-    const std::uint32_t *sites = trace.siteIndexData();
     const std::size_t stride = 1 + n;
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::uint8_t m = meta[i];
-        if ((m & 0x01) == 0)
+    for (std::size_t i = 0; i < block.size; ++i) {
+        const std::uint8_t m = block.meta[i];
+        if ((m & sbbt::kMetaConditional) == 0)
             continue;
         const bool measured = i >= mid;
         if constexpr (kHook) {
-            const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                           (m & 0x10) != 0};
+            const Branch b = block.branch(i);
             for (std::size_t k = 0; k < n; ++k)
-                args.prediction_hook(b, guesses[k][i - begin] != 0,
-                                     instr[i], measured, k);
+                args.prediction_hook(b, guesses[k][i] != 0, block.instr[i],
+                                     measured, k);
         }
         if (!measured)
             continue;
         ++state.dynamic_cond;
-        const std::uint8_t taken = (m & 0x10) != 0 ? 1 : 0;
+        const std::uint8_t taken = (m & sbbt::kMetaTaken) != 0 ? 1 : 0;
         if constexpr (kCollect) {
-            std::uint32_t &slot = state.site_row[sites[i]];
+            std::uint32_t &slot = state.site_row[block.site[i]];
             if (slot == 0) {
-                state.row_ips.push_back(ips[i]);
+                if (detail::rowIndexWouldOverflow(state.row_ips.size()) ||
+                    detail::rowAllocWouldOverflow(state.row_ips.size(),
+                                                  stride)) {
+                    state.error = detail::kSiteOverflowError;
+                    return;
+                }
+                state.row_ips.push_back(block.ip[i]);
                 state.rows.resize(state.rows.size() + stride, 0);
                 slot = static_cast<std::uint32_t>(state.row_ips.size());
             }
@@ -88,134 +83,98 @@ accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
                 state.rows.data() + std::size_t(slot - 1) * stride;
             ++row[0];
             for (std::size_t k = 0; k < n; ++k) {
-                if (guesses[k][i - begin] != taken) {
+                if (guesses[k][i] != taken) {
                     ++row[1 + k];
                     ++state.mispredictions[k];
                 }
             }
         } else {
             for (std::size_t k = 0; k < n; ++k) {
-                if (guesses[k][i - begin] != taken)
+                if (guesses[k][i] != taken)
                     ++state.mispredictions[k];
             }
         }
     }
 }
 
-json_t
-fusedArenaMany(const char *kName,
-               const std::vector<BlockKernel *> &kernels,
-               const SimArgs &args,
-               const std::shared_ptr<const sbbt::MemTrace> &trace,
-               double load_seconds)
-{
-    const sbbt::MemTrace &t = *trace;
-    const std::size_t n = kernels.size();
-    const std::size_t total = t.size();
-    const std::uint64_t limit = detail::instrLimit(args);
-    const std::uint64_t *instr = t.instrNumData();
-
-    // Same pre-partitioning as the single-predictor kernel: [0, stop)
-    // inside the instruction limit, [mid, stop) measured.
-    const std::size_t stop = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + total, limit) - instr);
-    const std::size_t mid = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + stop, args.warmup_instr) - instr);
-
-    FusedManyState state;
-    state.mispredictions.assign(n, 0);
-    if (args.collect_most_failed)
-        state.site_row.assign(t.numSites(), 0);
-    const bool hook = static_cast<bool>(args.prediction_hook);
-    const bool track_all = !args.track_only_conditional;
-
-    std::vector<std::vector<std::uint8_t>> guesses(
-        n, std::vector<std::uint8_t>(kKernelBlockBranches, 0));
-
-    auto start_time = std::chrono::steady_clock::now();
-    for (std::size_t begin = 0; begin < stop;
-         begin += kKernelBlockBranches) {
-        const std::size_t end =
-            std::min(begin + kKernelBlockBranches, stop);
-        for (std::size_t k = 0; k < n; ++k)
-            kernels[k]->runBlock(t, begin, end, track_all,
-                                 guesses[k].data());
-        if (hook) {
-            if (args.collect_most_failed)
-                accountBlock<true, true>(t, begin, end, mid, n, args,
-                                         guesses, state);
-            else
-                accountBlock<true, false>(t, begin, end, mid, n, args,
-                                          guesses, state);
-        } else {
-            if (args.collect_most_failed)
-                accountBlock<false, true>(t, begin, end, mid, n, args,
-                                          guesses, state);
-            else
-                accountBlock<false, false>(t, begin, end, mid, n, args,
-                                           guesses, state);
-        }
-    }
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    const bool exhausted = stop == total;
-    const std::uint64_t last_instr =
-        stop < total ? instr[stop] : (total > 0 ? instr[total - 1] : 0);
-    const std::uint64_t simulation_instr =
-        detail::measuredInstr(args, t.header().instruction_count,
-                              exhausted, last_instr, limit);
-
-    detail::Throughput tp{seconds, t.decompressedBytes(), 0.0,
-                          load_seconds};
-    return detail::buildManyDoc(kName, kernels, args, simulation_instr,
-                                exhausted, t.staticSitesInPrefix(stop),
-                                state.dynamic_cond, stop,
-                                state.mispredictions, state.rows,
-                                state.row_ips, tp);
-}
+} // namespace
 
 json_t
-runFusedMany(const char *kName, const std::vector<BlockKernel *> &kernels,
-             const SimArgs &args)
+detail::simulateKernels(const char *kName,
+                        const std::vector<BlockKernel *> &kernels,
+                        const SimArgs &args)
 {
     if (kernels.empty())
-        return detail::errorResult(kName, args,
-                                   "no predictors to simulate");
+        return errorResult(kName, args, "no predictors to simulate");
     for (const BlockKernel *kernel : kernels) {
         if (kernel == nullptr)
-            return detail::errorResult(kName, args, "null predictor");
+            return errorResult(kName, args, "null predictor");
     }
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        return fusedArenaMany(kName, kernels, args, arena.trace,
-                              arena.load_seconds);
-    }
-    // Streaming fallback: the shared core drives the kernels through
-    // their per-branch interface — devirtualized within each call, same
-    // document either way.
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateManyCore(kName, kernels, args, reader, 0.0);
-}
+    Timing timing;
+    std::string error;
+    std::unique_ptr<sbbt::BlockSource> source =
+        openTrace(args, timing, error);
+    if (source == nullptr)
+        return errorResult(kName, args, error);
 
-} // namespace
+    const std::size_t n = kernels.size();
+    ManyState state;
+    state.mispredictions.assign(n, 0);
+    const bool hook = static_cast<bool>(args.prediction_hook);
+    const bool collect = args.collect_most_failed;
+    const bool track_all = !args.track_only_conditional;
+    std::vector<std::vector<std::uint8_t>> guesses(
+        n, std::vector<std::uint8_t>(sbbt::kBlockBranches, 0));
+
+    auto start_time = std::chrono::steady_clock::now();
+    sbbt::Block block;
+    while (state.error.empty() && source->next(block)) {
+        if (collect)
+            state.site_row.resize(source->numSites(), 0);
+        for (std::size_t k = 0; k < n; ++k)
+            kernels[k]->runBlock(block, track_all, guesses[k].data());
+        const std::size_t mid = firstMeasured(block, args);
+        if (hook) {
+            if (collect)
+                accountBlock<true, true>(block, mid, n, args, guesses,
+                                         state);
+            else
+                accountBlock<true, false>(block, mid, n, args, guesses,
+                                          state);
+        } else {
+            if (collect)
+                accountBlock<false, true>(block, mid, n, args, guesses,
+                                          state);
+            else
+                accountBlock<false, false>(block, mid, n, args, guesses,
+                                           state);
+        }
+    }
+    timing.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start_time)
+                         .count();
+    if (!state.error.empty())
+        return errorResult(kName, args, state.error);
+    if (!source->error().empty())
+        return errorResult(kName, args, source->error());
+    return buildManyDoc(kName, kernels, args, *source, timing,
+                        state.dynamic_cond, state.mispredictions, state.rows,
+                        state.row_ips);
+}
 
 json_t
 simulateManyFused(const std::vector<BlockKernel *> &kernels,
                   const SimArgs &args)
 {
-    return runFusedMany(detail::kMultiSimulatorName, kernels, args);
+    return detail::simulateKernels(detail::kMultiSimulatorName, kernels,
+                                   args);
 }
 
 json_t
 compareFused(BlockKernel &a, BlockKernel &b, const SimArgs &args)
 {
-    return runFusedMany(detail::kCompareSimulatorName, {&a, &b}, args);
+    return detail::simulateKernels(detail::kCompareSimulatorName, {&a, &b},
+                                   args);
 }
 
 } // namespace mbp

@@ -94,10 +94,9 @@ struct PredictorSpec
      * (mbp/sim/kernels.hpp) over a fresh instance of the same
      * configuration `make` builds. When present — makeSpec() and the
      * roster-name campaign parser always set it — run() uses it instead
-     * of the virtual simulate() unless Campaign::fused is disabled, so
-     * cells run through the devirtualized compile-time kernel. Results
-     * are bit-identical either way (the conformance suite pins this);
-     * only throughput changes.
+     * of the virtual simulate(), so cells run through the devirtualized
+     * compile-time kernel. Results are bit-identical either way (the
+     * conformance suite pins this); only throughput changes.
      */
     std::function<json_t(const SimArgs &)> run_fused;
 };
@@ -161,14 +160,6 @@ struct Campaign
      */
     std::uint64_t mem_budget = kDefaultMemBudget;
     /**
-     * Run cells through the fused compile-time kernels
-     * (PredictorSpec::run_fused) when available, the default. Disable
-     * (`--no-fused`, or `"fused": false` in the JSON spec) to force the
-     * virtual simulate() everywhere — useful for A/B measurement; the
-     * results themselves are bit-identical.
-     */
-    bool fused = true;
-    /**
      * Consult (and populate) the persistent SBBT-A arena store
      * (sbbt::ArenaStore) on trace-cache misses: the first campaign ever
      * to touch a trace decodes it and leaves a sidecar behind; later
@@ -187,7 +178,7 @@ struct Campaign
      * configured by frontend_spec and runs frontend::simulate() instead
      * of the conditional-only pipeline. The fused kernels do not apply
      * to front-end cells (the FrontEnd drives the virtual Predictor
-     * interface); `fused` is ignored when this is set. Enabled by the
+     * interface). Enabled by the
      * CLI's `--frontend[=SPEC]` or the JSON `"frontend"` key (a spec
      * string, or `true` for the default configuration).
      */

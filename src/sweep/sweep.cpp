@@ -131,13 +131,6 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         }
         campaign.in_memory = v->asBool();
     }
-    if (const json_t *v = spec.find("fused")) {
-        if (!v->isBool()) {
-            error = "\"fused\" must be a bool";
-            return false;
-        }
-        campaign.fused = v->asBool();
-    }
     if (const json_t *v = spec.find("arena_cache")) {
         if (!v->isBool()) {
             error = "\"arena_cache\" must be a bool";
@@ -216,7 +209,6 @@ run(const Campaign &campaign, unsigned jobs)
     TraceCache cache(campaign.in_memory ? campaign.mem_budget : 0,
                      store);
     sbbt::ReaderOptions decode_options;
-    decode_options.block_packets = campaign.base_args.reader_block_packets;
     decode_options.prefetch = campaign.base_args.prefetch;
 
     // Campaigns built programmatically bypass campaignFromJson's parse
@@ -248,8 +240,8 @@ run(const Campaign &campaign, unsigned jobs)
         json_t result;
         // Front-end cells drive the virtual Predictor interface; the
         // fused conditional-only kernels never apply to them.
-        const bool use_fused = !campaign.frontend && campaign.fused &&
-                               spec.run_fused != nullptr;
+        const bool use_fused =
+            !campaign.frontend && spec.run_fused != nullptr;
         std::unique_ptr<Predictor> instance =
             use_fused ? nullptr : (spec.make ? spec.make() : nullptr);
         if (!use_fused && instance == nullptr) {

@@ -17,10 +17,6 @@
  *   --streaming        stream packets from disk (the default)
  *   --mem-budget N     with --in-memory, fall back to streaming when the
  *                      arena would exceed N bytes (0 = unlimited)
- *   --no-fused         run the virtual simulators instead of the fused
- *                      compile-time kernels (mbp/sim/kernels.hpp). The
- *                      kernels are the default; results are bit-identical
- *                      either way, only throughput differs.
  *   --arena-cache[=DIR]  load the trace through the persistent SBBT-A
  *                      arena store (DIR, or $MBP_ARENA_CACHE, or
  *                      ~/.cache/mbp): the first run decodes and leaves a
@@ -59,8 +55,7 @@ usage(const char *prog)
         "       %s [flags] compare <pred_a> <pred_b> <trace> [warmup_instr] "
         "[sim_instr]\n"
         "       %s list\n"
-        "flags: --in-memory | --streaming | --mem-budget <bytes>"
-        " | --no-fused\n"
+        "flags: --in-memory | --streaming | --mem-budget <bytes>\n"
         "       --arena-cache[=DIR] | --no-arena-cache |"
         " --frontend[=SPEC]\n",
         prog, prog, prog);
@@ -94,7 +89,6 @@ main(int argc, char **argv)
 {
     // Split flags from positionals so the flags may appear anywhere.
     mbp::SimArgs args;
-    bool fused = true;
     bool frontend = false;
     mbp::frontend::FrontEndConfig frontend_config;
     mbp::tools::ArenaCacheFlag arena;
@@ -124,10 +118,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "invalid --mem-budget value\n");
                 return usage(argv[0]);
             }
-        } else if (std::strcmp(argv[i], "--no-fused") == 0) {
-            fused = false;
-        } else if (std::strcmp(argv[i], "--fused") == 0) {
-            fused = true;
         } else if (argv[i][0] == '-' && argv[i][1] == '-') {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage(argv[0]);
@@ -151,7 +141,6 @@ main(int argc, char **argv)
             return;
         mbp::sbbt::ArenaStore store(arena.dir);
         mbp::sbbt::ReaderOptions options;
-        options.block_packets = a.reader_block_packets;
         options.prefetch = a.prefetch;
         a.preloaded = store.acquire(a.trace_path, options);
         if (a.preloaded != nullptr)
@@ -174,26 +163,14 @@ main(int argc, char **argv)
         if (!parseLimits(pos, 4, args))
             return usage(argv[0]);
         preloadArena(args);
-        mbp::json_t result;
-        if (fused) {
-            auto a = mbp::pred::fusedKernelByName(pos[1]);
-            auto b = mbp::pred::fusedKernelByName(pos[2]);
-            if (!a || !b) {
-                std::fprintf(stderr, "unknown predictor (try '%s list')\n",
-                             argv[0]);
-                return 2;
-            }
-            result = mbp::compareFused(*a, *b, args);
-        } else {
-            auto a = mbp::pred::makeByName(pos[1]);
-            auto b = mbp::pred::makeByName(pos[2]);
-            if (!a || !b) {
-                std::fprintf(stderr, "unknown predictor (try '%s list')\n",
-                             argv[0]);
-                return 2;
-            }
-            result = mbp::compare(*a, *b, args);
+        auto a = mbp::pred::fusedKernelByName(pos[1]);
+        auto b = mbp::pred::fusedKernelByName(pos[2]);
+        if (!a || !b) {
+            std::fprintf(stderr, "unknown predictor (try '%s list')\n",
+                         argv[0]);
+            return 2;
         }
+        mbp::json_t result = mbp::compareFused(*a, *b, args);
         std::printf("%s\n", result.dump(2).c_str());
         return result.contains("error") ? 1 : 0;
     }
@@ -221,7 +198,7 @@ main(int argc, char **argv)
         mbp::frontend::FrontEnd front_end(std::move(predictor),
                                           frontend_config);
         result = mbp::frontend::simulate(front_end, args);
-    } else if (fused) {
+    } else {
         mbp::pred::FusedRunner runner =
             mbp::pred::fusedRunnerByName(pos[0]);
         if (!runner) {
@@ -231,15 +208,6 @@ main(int argc, char **argv)
             return 2;
         }
         result = runner(args);
-    } else {
-        auto predictor = mbp::pred::makeByName(pos[0]);
-        if (!predictor) {
-            std::fprintf(stderr,
-                         "unknown predictor '%s' (try '%s list')\n",
-                         pos[0], argv[0]);
-            return 2;
-        }
-        result = mbp::simulate(*predictor, args);
     }
     std::printf("%s\n", result.dump(2).c_str());
     return result.contains("error") ? 1 : 0;

@@ -9,7 +9,7 @@
  *   mbp_sweep --predictors <a,b,...> --traces <t1,t2,...>
  *             [--warmup N] [--sim-instr N] [--jobs N] [--csv] [--out FILE]
  *             [--in-memory | --streaming] [--mem-budget BYTES]
- *             [--no-fused] [--arena-cache[=DIR] | --no-arena-cache]
+ *             [--arena-cache[=DIR] | --no-arena-cache]
  *   mbp_sweep --spec campaign.json [--jobs N] [--csv] [--out FILE]
  *   mbp_sweep list
  *
@@ -25,9 +25,7 @@
  * out. See README "Persistent arena cache" and the mbp_arena tool.
  *
  * Roster predictors run through the fused compile-time kernels
- * (mbp/sim/kernels.hpp) by default; --no-fused forces the virtual
- * simulate() everywhere for A/B measurement. Results are bit-identical
- * either way.
+ * (mbp/sim/kernels.hpp).
  *
  * --frontend[=SPEC] composes every predictor into a front end (BTB +
  * RAS + indirect-target table, see mbp/frontend/frontend.hpp) and runs
@@ -37,7 +35,7 @@
  * The campaign JSON spec (see README "Parallel sweeps"):
  *   {"predictors": ["gshare", ...], "traces": ["a.sbbt.flz", ...],
  *    "warmup_instr": 0, "sim_instr": 10000000, "jobs": 8,
- *    "in_memory": true, "mem_budget": 1073741824, "fused": true,
+ *    "in_memory": true, "mem_budget": 1073741824,
  *    "frontend": "btb-sets=512,ras=32"}
  */
 #include <cstdio>
@@ -62,8 +60,7 @@ usage(const char *prog)
         "usage: %s --predictors <a,b,...> --traces <t1,t2,...>\n"
         "          [--warmup N] [--sim-instr N] [--jobs N] [--csv]"
         " [--out FILE]\n"
-        "          [--in-memory | --streaming] [--mem-budget BYTES]"
-        " [--no-fused]\n"
+        "          [--in-memory | --streaming] [--mem-budget BYTES]\n"
         "          [--arena-cache[=DIR] | --no-arena-cache]"
         " [--frontend[=SPEC]]\n"
         "       %s --spec campaign.json [--jobs N] [--csv] [--out FILE]\n"
@@ -105,7 +102,6 @@ main(int argc, char **argv)
     bool in_memory = true, have_in_memory = false;
     std::uint64_t mem_budget = 0;
     bool have_mem_budget = false;
-    bool fused = true, have_fused = false;
     bool frontend = false;
     std::string frontend_spec;
     tools::ArenaCacheFlag arena;
@@ -168,12 +164,6 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
             have_mem_budget = true;
-        } else if (std::strcmp(argv[i], "--no-fused") == 0) {
-            fused = false;
-            have_fused = true;
-        } else if (std::strcmp(argv[i], "--fused") == 0) {
-            fused = true;
-            have_fused = true;
         } else if (std::strcmp(argv[i], "--frontend") == 0 ||
                    std::strncmp(argv[i], "--frontend=", 11) == 0) {
             frontend = true;
@@ -259,8 +249,6 @@ main(int argc, char **argv)
         campaign.in_memory = in_memory;
     if (have_mem_budget)
         campaign.mem_budget = mem_budget;
-    if (have_fused)
-        campaign.fused = fused;
     if (frontend) {
         campaign.frontend = true;
         campaign.frontend_spec = frontend_spec;

@@ -17,6 +17,13 @@
  * predict/train/track calls) and hook-free (which engages the fused-step
  * and per-site-fold fast paths, pinned through the misprediction totals
  * and per-site ranking rows of the document).
+ *
+ * Since the virtual and fused entry points share one block loop per
+ * shape, the independent check is mbp::testkit's naive reference
+ * simulator: for every roster entry, over streaming, decoded and mapped
+ * sources, simulate() and simulateMany() must agree with it on every
+ * count, the measurement window and the ranking — with warmup and limit
+ * windows that end mid-block and exactly on a block boundary.
  */
 #include <gtest/gtest.h>
 
@@ -33,8 +40,10 @@
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/kernels.hpp"
 #include "mbp/sim/simulator.hpp"
+#include "mbp/testkit/ref_sim.hpp"
 #include "mbp/tracegen/adversarial.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -78,7 +87,7 @@ class ArenaConformanceTest : public testing::Test
     static void
     SetUpTestSuite()
     {
-        trace_path_ = new std::string(testing::TempDir() +
+        trace_path_ = new std::string(mbp::test::testDir() +
                                       "/arena_conformance.sbbt");
         tracegen::WorkloadSpec spec;
         spec.seed = 20260805;
@@ -229,7 +238,7 @@ TEST_F(ArenaConformanceTest, MappedSbbtaArenaIsDecodeInvariantForRoster)
     ASSERT_NE(decoded, nullptr) << error;
 
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance.sbbta";
+        mbp::test::testDir() + "/arena_conformance.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -479,7 +488,7 @@ mixedClassTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/arena_conformance_mixed.sbbt";
+    path = mbp::test::testDir() + "/arena_conformance_mixed.sbbt";
     std::vector<tracegen::TraceEvent> events =
         tracegen::deepRecursion(31, 2000, 25);
     for (const tracegen::TraceEvent &ev :
@@ -503,14 +512,13 @@ mixedClassTrace()
     return path;
 }
 
-/** Drains @p next into a packet list. */
-template <typename Source>
+/** Drains @p reader into a packet list. */
 std::vector<sbbt::PacketData>
-drain(Source &source)
+drain(sbbt::SbbtReader &reader)
 {
     std::vector<sbbt::PacketData> packets;
     sbbt::PacketData packet;
-    while (source.next(packet))
+    while (reader.next(packet))
         packets.push_back(packet);
     return packets;
 }
@@ -544,22 +552,25 @@ TEST_F(ArenaConformanceTest, NonConditionalClassesRoundTripThroughArena)
     auto decoded = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(decoded, nullptr) << error;
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance_mixed.sbbta";
+        mbp::test::testDir() + "/arena_conformance_mixed.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;
 
     for (const auto &arena : {decoded, mapped}) {
-        sbbt::MemTraceCursor cursor(arena);
-        const std::vector<sbbt::PacketData> actual = drain(cursor);
-        ASSERT_EQ(actual.size(), expected.size());
+        ASSERT_EQ(arena->size(), expected.size());
+        std::uint64_t previous_instr = 0;
         for (std::size_t i = 0; i < expected.size(); ++i) {
-            EXPECT_EQ(actual[i].branch, expected[i].branch)
+            const Branch branch{arena->ip(i), arena->target(i),
+                                arena->opcode(i), arena->taken(i)};
+            EXPECT_EQ(branch, expected[i].branch)
                 << (arena->mapped() ? "mapped" : "decoded")
                 << " packet " << i;
-            EXPECT_EQ(actual[i].instr_gap, expected[i].instr_gap)
+            EXPECT_EQ(arena->instrNumber(i) - previous_instr - 1,
+                      expected[i].instr_gap)
                 << (arena->mapped() ? "mapped" : "decoded")
                 << " packet " << i;
+            previous_instr = arena->instrNumber(i);
         }
     }
     std::remove(sidecar.c_str());
@@ -575,7 +586,7 @@ TEST_F(ArenaConformanceTest, FrontendReportIsSourceInvariant)
     auto decoded = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(decoded, nullptr) << error;
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance_mixed_fe.sbbta";
+        mbp::test::testDir() + "/arena_conformance_mixed_fe.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -624,4 +635,130 @@ TEST_F(ArenaConformanceTest, FusedStreamingFallbackMatchesVirtual)
     EXPECT_EQ(virtual_bytes, fused_bytes);
     EXPECT_EQ(scrubTiming(virtual_doc).dump(2),
               scrubTiming(fused_doc).dump(2));
+}
+
+namespace
+{
+
+/** A warmup/limit window of the reference-diff tests. */
+struct Window
+{
+    const char *name;
+    std::uint64_t warmup_instr;
+    std::uint64_t sim_instr;
+};
+
+/**
+ * The windows the driver is diffed over: the suite's base warmup with
+ * no limit, both cuts exactly on a block boundary (the warmup ending on
+ * the last branch of block 0, the limit on the last branch of block 2),
+ * and both cuts mid-block.
+ */
+std::vector<Window>
+referenceWindows(const sbbt::MemTrace &arena)
+{
+    constexpr std::size_t kBlock = sbbt::kBlockBranches;
+    const auto instr = [&arena](std::size_t i) {
+        return arena.instrNumber(i);
+    };
+    return {
+        {"warmup only", 40'000, SimArgs{}.sim_instr},
+        {"block boundaries", instr(kBlock - 1),
+         instr(3 * kBlock - 1) - instr(kBlock - 1)},
+        {"mid-block", instr(1234), instr(2 * kBlock + 777) - instr(1234)},
+    };
+}
+
+} // namespace
+
+TEST_F(ArenaConformanceTest, ReferenceSimulatorAgreesForEveryRosterEntry)
+{
+    std::string error;
+    auto decoded = sbbt::MemTrace::load(*trace_path_, {}, &error);
+    ASSERT_NE(decoded, nullptr) << error;
+    ASSERT_GT(decoded->size(), 3 * sbbt::kBlockBranches);
+    const std::string sidecar = mbp::test::testDir() + "/reference.sbbta";
+    ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
+    auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+
+    for (const Window &window : referenceWindows(*decoded)) {
+        SimArgs args;
+        args.trace_path = *trace_path_;
+        args.warmup_instr = window.warmup_instr;
+        args.sim_instr = window.sim_instr;
+        for (const std::string &name : pred::rosterNames()) {
+            auto reference_pred = pred::makeByName(name);
+            const testkit::RefSimResult ref =
+                testkit::referenceSimulate(*reference_pred, args);
+            ASSERT_EQ(ref.error, "") << name;
+            for (const char *source : {"streaming", "decoded", "mapped"}) {
+                SimArgs run_args = args;
+                if (std::string(source) == "decoded")
+                    run_args.preloaded = decoded;
+                else if (std::string(source) == "mapped")
+                    run_args.preloaded = mapped;
+                auto predictor = pred::makeByName(name);
+                EXPECT_EQ(testkit::diffSimulate(
+                              simulate(*predictor, run_args), ref, args),
+                          "")
+                    << name << ", " << source << ", " << window.name;
+                EXPECT_EQ(testkit::diffSimulate(
+                              pred::fusedRunnerByName(name)(run_args), ref,
+                              args),
+                          "")
+                    << name << " fused, " << source << ", " << window.name;
+            }
+        }
+    }
+}
+
+TEST_F(ArenaConformanceTest, ReferenceSimulatorAgreesForSimulateMany)
+{
+    std::string error;
+    auto decoded = sbbt::MemTrace::load(*trace_path_, {}, &error);
+    ASSERT_NE(decoded, nullptr) << error;
+    const std::string sidecar =
+        mbp::test::testDir() + "/reference_many.sbbta";
+    ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
+    auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+
+    /** A fresh instance of the whole roster, in roster order. */
+    struct Roster
+    {
+        std::vector<std::unique_ptr<Predictor>> owned;
+        std::vector<Predictor *> pointers;
+        Roster()
+        {
+            for (const std::string &name : pred::rosterNames()) {
+                owned.push_back(pred::makeByName(name));
+                pointers.push_back(owned.back().get());
+            }
+        }
+    };
+
+    for (const Window &window : referenceWindows(*decoded)) {
+        SimArgs args;
+        args.trace_path = *trace_path_;
+        args.warmup_instr = window.warmup_instr;
+        args.sim_instr = window.sim_instr;
+        Roster reference;
+        const testkit::RefSimResult ref =
+            testkit::referenceSimulateMany(reference.pointers, args);
+        ASSERT_EQ(ref.error, "");
+        for (const char *source : {"streaming", "decoded", "mapped"}) {
+            SimArgs run_args = args;
+            if (std::string(source) == "decoded")
+                run_args.preloaded = decoded;
+            else if (std::string(source) == "mapped")
+                run_args.preloaded = mapped;
+            Roster subject;
+            EXPECT_EQ(testkit::diffMany(simulateMany(subject.pointers,
+                                                     run_args),
+                                        ref, args),
+                      "")
+                << source << ", " << window.name;
+        }
+    }
 }

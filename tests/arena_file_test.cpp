@@ -21,6 +21,7 @@
 #include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -31,7 +32,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::testDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -144,7 +145,7 @@ TEST(ContentHasher, LengthAndContentBothMatter)
 
 TEST(ContentHasher, FileHashMatchesBufferHash)
 {
-    const std::string path = testing::TempDir() + "/hash_probe.bin";
+    const std::string path = mbp::test::testDir() + "/hash_probe.bin";
     std::vector<std::uint8_t> data(70'001);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = std::uint8_t(i ^ (i >> 8));
@@ -171,7 +172,7 @@ class ArenaFileTest : public testing::Test
         std::string error;
         decoded_ = sbbt::MemTrace::load(trace_path_, {}, &error);
         ASSERT_NE(decoded_, nullptr) << error;
-        arena_path_ = testing::TempDir() + "/arena_rt.sbbta";
+        arena_path_ = mbp::test::testDir() + "/arena_rt.sbbta";
         ASSERT_TRUE(decoded_->writeArena(arena_path_, 0xfeedf00d, &error))
             << error;
     }
@@ -230,24 +231,27 @@ TEST_F(ArenaFileTest, CursorStreamsIdenticallyOverMappedArena)
     std::string error;
     auto mapped = sbbt::MemTrace::mapFile(arena_path_, &error);
     ASSERT_NE(mapped, nullptr) << error;
-    sbbt::MemTraceCursor a(decoded_);
-    sbbt::MemTraceCursor b(mapped);
-    sbbt::PacketData pa, pb;
+    sbbt::BlockSource a(decoded_);
+    sbbt::BlockSource b(mapped);
+    sbbt::Block ba, bb;
     while (true) {
-        const bool more_a = a.next(pa);
-        const bool more_b = b.next(pb);
+        const bool more_a = a.next(ba);
+        const bool more_b = b.next(bb);
         ASSERT_EQ(more_a, more_b);
         if (!more_a)
             break;
-        EXPECT_EQ(pa.branch.ip(), pb.branch.ip());
-        EXPECT_EQ(pa.branch.target(), pb.branch.target());
-        EXPECT_EQ(pa.branch.opcode(), pb.branch.opcode());
-        EXPECT_EQ(pa.branch.isTaken(), pb.branch.isTaken());
-        EXPECT_EQ(pa.instr_gap, pb.instr_gap);
-        EXPECT_EQ(a.instrNumber(), b.instrNumber());
+        ASSERT_EQ(ba.size, bb.size);
+        for (std::size_t i = 0; i < ba.size; ++i) {
+            EXPECT_EQ(ba.ip[i], bb.ip[i]);
+            EXPECT_EQ(ba.target[i], bb.target[i]);
+            EXPECT_EQ(ba.meta[i], bb.meta[i]);
+            EXPECT_EQ(ba.instr[i], bb.instr[i]);
+            EXPECT_EQ(ba.site[i], bb.site[i]);
+        }
     }
     EXPECT_TRUE(a.exhausted());
     EXPECT_TRUE(b.exhausted());
+    EXPECT_EQ(a.staticSites(), b.staticSites());
 }
 
 TEST_F(ArenaFileTest, ReadArenaHeaderExposesTheFacts)
@@ -350,7 +354,7 @@ namespace
 std::string
 freshStoreDir(const std::string &tag)
 {
-    const std::string dir = testing::TempDir() + "/arena_store_" + tag;
+    const std::string dir = mbp::test::testDir() + "/arena_store_" + tag;
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -477,7 +481,7 @@ TEST(ArenaStore, MissingTraceStillFailsWithTheRealError)
 {
     sbbt::ArenaStore store(freshStoreDir("missing"));
     std::string error;
-    EXPECT_EQ(store.acquire(testing::TempDir() + "/no_such.sbbt", {},
+    EXPECT_EQ(store.acquire(mbp::test::testDir() + "/no_such.sbbt", {},
                             &error),
               nullptr);
     EXPECT_NE(error, "");

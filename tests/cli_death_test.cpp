@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 
 #include "mbp/sbbt/writer.hpp"
+#include "test_util.hpp"
 
 namespace
 {
@@ -35,7 +36,7 @@ RunResult
 run(const std::string &command)
 {
     static int counter = 0;
-    const std::string err_path = testing::TempDir() + "/cli-death-stderr-" +
+    const std::string err_path = mbp::test::testDir() + "/cli-death-stderr-" +
                                  std::to_string(counter++) + ".txt";
     RunResult result;
     const std::string full =
@@ -61,7 +62,7 @@ validTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/cli-death-valid.sbbt";
+    path = mbp::test::testDir() + "/cli-death-valid.sbbt";
     mbp::sbbt::SbbtWriter writer(path);
     for (int i = 0; i < 32; ++i)
         writer.append(mbp::Branch{0x500000ull + std::uint64_t(i % 4) * 16,
@@ -79,9 +80,30 @@ corruptTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/cli-death-corrupt.sbbt";
+    path = mbp::test::testDir() + "/cli-death-corrupt.sbbt";
     std::ofstream out(path, std::ios::binary);
     out << "this is not a branch trace at all, sorry";
+    return path;
+}
+
+/**
+ * A bare 24-byte SBBT header promising 2^33 branches and carrying none:
+ * a reader that sizes an allocation from the header aborts on it.
+ */
+std::string
+hugeHeaderTrace()
+{
+    static std::string path;
+    if (!path.empty())
+        return path;
+    path = mbp::test::testDir() + "/cli-death-huge-header.sbbt";
+    mbp::sbbt::Header header;
+    header.instruction_count = std::uint64_t{1} << 34;
+    header.branch_count = std::uint64_t{1} << 33;
+    const auto bytes = mbp::sbbt::encodeHeader(header);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
     return path;
 }
 
@@ -127,6 +149,17 @@ TEST(SimCli, CorruptTraceIsRuntimeFailureExit1)
     auto r = run(std::string(MBP_SIM_BIN) + " bimodal " +
                  quoted(corruptTrace()));
     EXPECT_EQ(r.exit_code, 1);
+}
+
+TEST(SimCli, HugeHeaderIsRuntimeFailureExit1InEveryMode)
+{
+    // The header's branch count is untrusted: every access mode reports
+    // the early-ending trace as an error document, none aborts.
+    for (const char *mode : {"--streaming", "--in-memory"}) {
+        auto r = run(std::string(MBP_SIM_BIN) + " " + mode + " gshare " +
+                     quoted(hugeHeaderTrace()));
+        EXPECT_EQ(r.exit_code, 1) << mode << ": " << r.err;
+    }
 }
 
 TEST(SimCli, ValidRunExits0)
@@ -280,7 +313,7 @@ TEST(FuzzCli, SelfTestCatchesAndExits0)
 {
     auto r = run(std::string(MBP_FUZZ_BIN) +
                  " --self-test --seed 11 --streams 4 --artifacts " +
-                 quoted(testing::TempDir() + "/fuzz-cli-selftest"));
+                 quoted(mbp::test::testDir() + "/fuzz-cli-selftest"));
     EXPECT_EQ(r.exit_code, 0) << r.err;
     EXPECT_NE(r.err.find("self-test passed"), std::string::npos) << r.err;
 }
@@ -364,7 +397,7 @@ TEST(ArenaCli, UnknownFlagExits2AndNamesIt)
 TEST(ArenaCli, MaterializeThenVerifyExits0)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-store");
+        quoted(mbp::test::testDir() + "/cli-death-arena-store");
     auto materialize = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
                            " materialize " + quoted(validTrace()));
     EXPECT_EQ(materialize.exit_code, 0) << materialize.err;
@@ -376,7 +409,7 @@ TEST(ArenaCli, MaterializeThenVerifyExits0)
 TEST(ArenaCli, VerifyWithoutSidecarIsUnhealthyExit1)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-empty");
+        quoted(mbp::test::testDir() + "/cli-death-arena-empty");
     auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir + " verify " +
                  quoted(validTrace()));
     EXPECT_EQ(r.exit_code, 1) << r.err;
@@ -385,8 +418,17 @@ TEST(ArenaCli, VerifyWithoutSidecarIsUnhealthyExit1)
 TEST(ArenaCli, MaterializeCorruptTraceIsUnhealthyExit1)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-corrupt");
+        quoted(mbp::test::testDir() + "/cli-death-arena-corrupt");
     auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
                  " materialize " + quoted(corruptTrace()));
+    EXPECT_EQ(r.exit_code, 1) << r.err;
+}
+
+TEST(ArenaCli, MaterializeHugeHeaderIsUnhealthyExit1)
+{
+    const std::string dir =
+        quoted(mbp::test::testDir() + "/cli-death-arena-huge");
+    auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
+                 " materialize " + quoted(hugeHeaderTrace()));
     EXPECT_EQ(r.exit_code, 1) << r.err;
 }

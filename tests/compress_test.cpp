@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include "test_util.hpp"
 
 namespace compress = mbp::compress;
 using compress::Codec;
@@ -33,7 +34,7 @@ flzRoundTrip(const std::vector<std::uint8_t> &input, int effort = 4)
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::testDir() + "/" + name;
 }
 
 /** Pushes `data` through sink-chain into memory and reads it back. */

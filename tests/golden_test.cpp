@@ -25,6 +25,7 @@
 #include "mbp/json/json.hpp"
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sim/simulator.hpp"
+#include "mbp/testkit/ref_sim.hpp"
 #include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/generator.hpp"
 
@@ -207,6 +208,37 @@ TEST(Golden, RosterMatchesRecordedNumbers)
             << name;
         EXPECT_NEAR(expected.find("accuracy")->asDouble(),
                     actual->find("accuracy")->asDouble(), 1e-9)
+            << name;
+    }
+}
+
+TEST(Golden, RecordedNumbersMatchReferenceSimulator)
+{
+    // The golden rows are checked against the simulator above; here the
+    // same rows are re-derived by testkit's naive reference simulator,
+    // which shares no code with the block driver, so a driver defect
+    // cannot hide behind a golden file refreshed from it.
+    std::string error;
+    json_t golden = loadGolden(error);
+    ASSERT_EQ(error, "");
+    const json_t *rows = golden.find("predictors");
+    ASSERT_NE(rows, nullptr);
+    SimArgs args;
+    args.trace_path = demoTrace();
+    args.sim_instr = kSimInstr;
+    for (const auto &[name, expected] : rows->members()) {
+        auto reference_pred = pred::makeByName(name);
+        ASSERT_NE(reference_pred, nullptr) << name;
+        const testkit::RefSimResult ref =
+            testkit::referenceSimulate(*reference_pred, args);
+        ASSERT_EQ(ref.error, "") << name;
+        EXPECT_EQ(expected.find("mispredictions")->asUint(),
+                  ref.mispredictions[0])
+            << name;
+        auto predictor = pred::makeByName(name);
+        EXPECT_EQ(testkit::diffSimulate(simulate(*predictor, args), ref,
+                                        args),
+                  "")
             << name;
     }
 }

@@ -24,6 +24,7 @@
 #include "mbp/predictors/tage_scl.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/simulator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -31,16 +32,16 @@ namespace
 {
 
 // The dispatch-selection contracts, pinned at compile time: table
-// predictors offer the fused single-step (Gshare also the per-site
-// fold), and the TAGE family offers the fused step plus the multi-bank
-// prefetch form — but never the per-site fold, since its table indexes
-// depend on the live history.
+// predictors offer the fused single-step, the per-site fold and a
+// one-hint prefetch, and the TAGE family offers the fused step plus the
+// multi-bank prefetch — but never the per-site fold, since its table
+// indexes depend on the live history.
 static_assert(KernelFusedStep<pred::Bimodal<16>>);
 static_assert(KernelSiteFold<pred::Bimodal<16>>);
 static_assert(KernelFusedStep<pred::Gshare<15, 17>>);
 static_assert(KernelSiteFold<pred::Gshare<15, 17>>);
-static_assert(KernelPrefetchable<pred::Gshare<15, 17>>);
-static_assert(!KernelMultiPrefetch<pred::Gshare<15, 17>>);
+static_assert(KernelMultiPrefetch<pred::Bimodal<16>>);
+static_assert(KernelMultiPrefetch<pred::Gshare<15, 17>>);
 static_assert(KernelFusedStep<pred::Tage>);
 static_assert(KernelFusedStep<pred::Batage>);
 static_assert(KernelFusedStep<pred::TageScl>);
@@ -50,7 +51,6 @@ static_assert(!KernelSiteFold<pred::TageScl>);
 static_assert(KernelMultiPrefetch<pred::Tage>);
 static_assert(KernelMultiPrefetch<pred::Batage>);
 static_assert(KernelMultiPrefetch<pred::TageScl>);
-static_assert(!KernelPrefetchable<pred::Tage>);
 // Per-predictor prefetch distance: declared by the TAGE family, the
 // global default for everything else.
 static_assert(kernelPrefetchDistanceOf<pred::Tage>() ==
@@ -98,7 +98,7 @@ scrubTiming(const json_t &value)
 std::string
 writeKernelTrace(const std::string &name, std::size_t num_branches)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::testDir() + "/" + name;
     sbbt::SbbtWriter writer(path);
     EXPECT_TRUE(writer.ok()) << writer.error();
     std::mt19937_64 rng(20260808);
@@ -158,7 +158,7 @@ class KernelBoundaryTest : public testing::Test
         // Two and a half kernel blocks of branches, so every boundary
         // case below lands where intended.
         trace_path_ = new std::string(writeKernelTrace(
-            "kernel_boundaries.sbbt", 2 * kKernelBlockBranches + 2048));
+            "kernel_boundaries.sbbt", 2 * sbbt::kBlockBranches + 2048));
     }
 
     static void
@@ -188,14 +188,14 @@ std::string *KernelBoundaryTest::trace_path_ = nullptr;
 TEST_F(KernelBoundaryTest, WarmupEndsMidBlock)
 {
     SimArgs a = args();
-    a.warmup_instr = 10 * (kKernelBlockBranches + 1000) + 5;
+    a.warmup_instr = 10 * (sbbt::kBlockBranches + 1000) + 5;
     expectFusedMatchesVirtual(a);
 }
 
 TEST_F(KernelBoundaryTest, InstructionLimitStopsMidBlock)
 {
     SimArgs a = args();
-    a.sim_instr = 10 * (kKernelBlockBranches + 700);
+    a.sim_instr = 10 * (sbbt::kBlockBranches + 700);
     expectFusedMatchesVirtual(a);
 }
 
@@ -204,14 +204,14 @@ TEST_F(KernelBoundaryTest, InstructionLimitAtExactBlockBoundary)
     // Branch k (1-based) is at instruction 10k, so this limit admits
     // exactly one full block of branches and not one more.
     SimArgs a = args();
-    a.sim_instr = 10 * kKernelBlockBranches;
+    a.sim_instr = 10 * sbbt::kBlockBranches;
     expectFusedMatchesVirtual(a);
 }
 
 TEST_F(KernelBoundaryTest, WarmupAndLimitInTheSameBlock)
 {
     SimArgs a = args();
-    a.warmup_instr = 10 * (kKernelBlockBranches + 100);
+    a.warmup_instr = 10 * (sbbt::kBlockBranches + 100);
     a.sim_instr = 10 * 500; // measured window inside block two
     expectFusedMatchesVirtual(a);
 }
@@ -219,7 +219,7 @@ TEST_F(KernelBoundaryTest, WarmupAndLimitInTheSameBlock)
 TEST_F(KernelBoundaryTest, WarmupConsumingTheWholeTraceMeasuresNothing)
 {
     SimArgs a = args();
-    a.warmup_instr = 10u * (2 * kKernelBlockBranches + 2048) + 1000;
+    a.warmup_instr = 10u * (2 * sbbt::kBlockBranches + 2048) + 1000;
     pred::Gshare<15, 17> fused_pred;
     json_t doc = simulateFused(fused_pred, a);
     ASSERT_FALSE(doc.contains("error")) << doc.dump(2);
@@ -235,7 +235,7 @@ TEST_F(KernelBoundaryTest, WarmupConsumingTheWholeTraceMeasuresNothing)
 TEST_F(KernelBoundaryTest, CollectDisabledMatchesToo)
 {
     SimArgs a = args();
-    a.warmup_instr = 10 * (kKernelBlockBranches + 1000) + 5;
+    a.warmup_instr = 10 * (sbbt::kBlockBranches + 1000) + 5;
     a.collect_most_failed = false;
     expectFusedMatchesVirtual(a);
 }

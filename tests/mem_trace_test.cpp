@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for the decode-once in-memory trace arena: a loaded
- * MemTrace must replay, through MemTraceCursor, the exact packet stream
- * SbbtReader delivers from the same file — same branches, same gaps,
- * same instruction numbers, same exhaustion semantics — plus the sizing
- * helpers the memory-budgeted cache relies on.
+ * MemTrace must replay, as sbbt::BlockSource blocks, the exact packet
+ * stream SbbtReader delivers from the same file — same branches, same
+ * instruction numbers, same exhaustion semantics, the same site ids as
+ * the streaming block decoder — plus the sizing helpers the
+ * memory-budgeted cache relies on and the header-sized-allocation guard.
  */
 #include "mbp/sbbt/mem_trace.hpp"
 
@@ -16,9 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "mbp/compress/streams.hpp"
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -29,7 +32,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::testDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -48,14 +51,14 @@ TEST(MemTrace, LoadFailsOnMissingFile)
 {
     std::string error;
     auto trace = sbbt::MemTrace::load(
-        testing::TempDir() + "/no-such-trace.sbbt", {}, &error);
+        mbp::test::testDir() + "/no-such-trace.sbbt", {}, &error);
     EXPECT_EQ(trace, nullptr);
     EXPECT_NE(error, "");
 }
 
 TEST(MemTrace, LoadFailsOnCorruptFile)
 {
-    const std::string path = testing::TempDir() + "/corrupt.sbbt";
+    const std::string path = mbp::test::testDir() + "/corrupt.sbbt";
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not an SBBT trace at all, not even close!";
@@ -109,27 +112,42 @@ TEST(MemTrace, CursorReplaysReaderStreamInLockstep)
     auto trace = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(trace, nullptr) << error;
 
+    // Arena blocks and decoded blocks replay the reader's stream: same
+    // branches, same instruction numbers, same first-seen site ids.
     sbbt::SbbtReader reader(path);
     ASSERT_TRUE(reader.ok()) << reader.error();
-    sbbt::MemTraceCursor cursor(trace);
-    ASSERT_TRUE(cursor.ok());
+    sbbt::BlockSource arena_blocks(trace);
+    sbbt::BlockSource file_blocks(path);
+    ASSERT_TRUE(arena_blocks.ok());
+    ASSERT_TRUE(file_blocks.ok()) << file_blocks.error();
 
-    sbbt::PacketData from_file, from_arena;
-    while (true) {
-        const bool file_more = reader.next(from_file);
-        const bool arena_more = cursor.next(from_arena);
-        ASSERT_EQ(file_more, arena_more);
-        if (!file_more)
-            break;
-        EXPECT_EQ(from_arena.branch, from_file.branch);
-        EXPECT_EQ(from_arena.instr_gap, from_file.instr_gap);
-        EXPECT_EQ(cursor.instrNumber(), reader.instrNumber());
-        EXPECT_EQ(cursor.branchesRead(), reader.branchesRead());
+    sbbt::PacketData packet;
+    sbbt::Block a, f;
+    while (arena_blocks.next(a)) {
+        ASSERT_TRUE(file_blocks.next(f));
+        ASSERT_EQ(a.size, f.size);
+        EXPECT_LE(a.size, sbbt::kBlockBranches);
+        for (std::size_t i = 0; i < a.size; ++i) {
+            ASSERT_TRUE(reader.next(packet));
+            EXPECT_EQ(a.branch(i), packet.branch);
+            EXPECT_EQ(f.branch(i), packet.branch);
+            EXPECT_EQ(a.instr[i], reader.instrNumber());
+            EXPECT_EQ(f.instr[i], reader.instrNumber());
+            EXPECT_EQ(a.site[i], f.site[i]);
+            EXPECT_EQ(trace->siteIpData()[a.site[i]], packet.branch.ip());
+        }
     }
+    EXPECT_FALSE(file_blocks.next(f));
+    EXPECT_FALSE(reader.next(packet));
     EXPECT_EQ(reader.error(), "");
     EXPECT_TRUE(reader.exhausted());
-    EXPECT_TRUE(cursor.exhausted());
-    EXPECT_EQ(cursor.branchesRead(), reader.branchesRead());
+    EXPECT_TRUE(arena_blocks.exhausted());
+    EXPECT_TRUE(file_blocks.exhausted());
+    EXPECT_EQ(arena_blocks.branches(), reader.branchesRead());
+    EXPECT_EQ(file_blocks.branches(), reader.branchesRead());
+    EXPECT_EQ(arena_blocks.staticSites(), trace->numSites());
+    EXPECT_EQ(file_blocks.staticSites(), trace->numSites());
+    EXPECT_EQ(file_blocks.decompressedBytes(), reader.decompressedBytes());
     std::remove(path.c_str());
 }
 
@@ -140,30 +158,49 @@ TEST(MemTrace, CursorExhaustedOnlyAfterFailingNext)
     ASSERT_NE(trace, nullptr);
     ASSERT_GT(trace->size(), 0u);
 
-    // Mirror SbbtReader: consuming the last packet does not flip
-    // exhausted(); only the next() that returns false does. This is what
-    // lets the simulator's instruction-limit break distinguish "stopped
-    // early" from "trace fully consumed" identically on both sources.
-    sbbt::MemTraceCursor cursor(trace);
-    sbbt::PacketData packet;
-    for (std::size_t i = 0; i < trace->size(); ++i) {
-        ASSERT_TRUE(cursor.next(packet));
-        EXPECT_FALSE(cursor.exhausted());
+    // Mirror SbbtReader: delivering the last branch does not flip
+    // exhausted(); only the next() that returns false does. And a source
+    // cut at an instruction limit never reports exhaustion.
+    sbbt::BlockSource whole(trace);
+    sbbt::Block block;
+    std::size_t seen = 0;
+    while (seen < trace->size()) {
+        ASSERT_TRUE(whole.next(block));
+        seen += block.size;
+        EXPECT_FALSE(whole.exhausted());
     }
-    EXPECT_FALSE(cursor.next(packet));
-    EXPECT_TRUE(cursor.exhausted());
+    EXPECT_FALSE(whole.next(block));
+    EXPECT_TRUE(whole.exhausted());
+    EXPECT_EQ(whole.lastInstr(), trace->instrNumber(trace->size() - 1));
+
+    const std::size_t half = trace->size() / 2;
+    const std::uint64_t limit = trace->instrNumber(half);
+    auto checkCut = [&](sbbt::BlockSource &cut) {
+        std::uint64_t delivered = 0;
+        while (cut.next(block))
+            delivered += block.size;
+        EXPECT_EQ(delivered, half + 1);
+        EXPECT_FALSE(cut.exhausted());
+        // The stop point is the first branch past the limit: read, not
+        // delivered.
+        EXPECT_EQ(cut.lastInstr(), trace->instrNumber(half + 1));
+    };
+    sbbt::BlockSource arena_cut(trace, limit);
+    sbbt::BlockSource file_cut(path, {}, limit);
+    checkCut(arena_cut);
+    checkCut(file_cut);
     std::remove(path.c_str());
 }
 
 TEST(MemTrace, NullCursorReportsErrorNotExhaustion)
 {
-    sbbt::MemTraceCursor cursor(nullptr);
-    EXPECT_FALSE(cursor.ok());
-    EXPECT_NE(cursor.error(), "");
-    sbbt::PacketData packet;
-    EXPECT_FALSE(cursor.next(packet));
-    EXPECT_FALSE(cursor.exhausted()); // an error is not a clean end
-    EXPECT_EQ(cursor.decompressedBytes(), 0u);
+    sbbt::BlockSource source(std::shared_ptr<const sbbt::MemTrace>{});
+    EXPECT_FALSE(source.ok());
+    EXPECT_NE(source.error(), "");
+    sbbt::Block block;
+    EXPECT_FALSE(source.next(block));
+    EXPECT_FALSE(source.exhausted()); // an error is not a clean end
+    EXPECT_EQ(source.decompressedBytes(), 0u);
 }
 
 TEST(MemTrace, IndependentCursorsShareOneArena)
@@ -173,20 +210,23 @@ TEST(MemTrace, IndependentCursorsShareOneArena)
     ASSERT_NE(trace, nullptr);
 
     // Several threads replay the same arena concurrently, each through
-    // its own cursor; every replay must see the full identical stream.
-    // (This test doubles as the MemTrace workout under MBP_SANITIZE=thread.)
+    // its own block source; every replay must see the full identical
+    // stream. (This test doubles as the MemTrace workout under
+    // MBP_SANITIZE=thread.)
     constexpr int kThreads = 4;
     std::vector<std::uint64_t> checksums(kThreads, 0);
     std::vector<std::thread> threads;
     for (int w = 0; w < kThreads; ++w) {
         threads.emplace_back([&, w] {
-            sbbt::MemTraceCursor cursor(trace);
-            sbbt::PacketData packet;
+            sbbt::BlockSource source(trace);
+            sbbt::Block block;
             std::uint64_t sum = 0;
-            while (cursor.next(packet))
-                sum += packet.branch.ip() + packet.instr_gap +
-                       (packet.branch.isTaken() ? 1 : 0);
-            checksums[w] = cursor.exhausted() ? sum : 0;
+            while (source.next(block)) {
+                for (std::size_t i = 0; i < block.size; ++i)
+                    sum += block.ip[i] + block.instr[i] +
+                           (block.meta[i] & sbbt::kMetaTaken);
+            }
+            checksums[w] = source.exhausted() ? sum : 0;
         });
     }
     for (auto &thread : threads)
@@ -217,7 +257,33 @@ TEST(MemTrace, EstimateBytesTracksActualFootprint)
     // File-based estimation reads only the header.
     EXPECT_EQ(sbbt::MemTrace::estimateFileBytes(path), estimate);
     EXPECT_EQ(sbbt::MemTrace::estimateFileBytes(
-                  testing::TempDir() + "/definitely-missing.sbbt"),
+                  mbp::test::testDir() + "/definitely-missing.sbbt"),
               0u);
     std::remove(path.c_str());
+}
+
+TEST(MemTrace, HeaderPromisingBillionsOfBranchesIsAnErrorNotAnAbort)
+{
+    // A bare 24-byte header promising 2^33 branches: the arena must not
+    // size itself from the untrusted count (five columns of 2^33 rows
+    // would throw std::bad_alloc). It fails cleanly instead, with the
+    // same error the streaming reader reports — for every codec.
+    sbbt::Header header;
+    header.instruction_count = std::uint64_t{1} << 34;
+    header.branch_count = std::uint64_t{1} << 33;
+    const auto bytes = sbbt::encodeHeader(header);
+    for (const char *name : {"huge.sbbt", "huge.sbbt.flz", "huge.sbbt.gz"}) {
+        const std::string path = mbp::test::testDir() + "/" + name;
+        {
+            auto out = compress::openOutput(path);
+            ASSERT_NE(out, nullptr) << name;
+            ASSERT_TRUE(out->write(bytes.data(), bytes.size())) << name;
+            ASSERT_TRUE(out->close()) << name;
+        }
+        std::string error;
+        auto trace = sbbt::MemTrace::load(path, {}, &error);
+        EXPECT_EQ(trace, nullptr) << name;
+        EXPECT_NE(error.find("trace ended early"), std::string::npos)
+            << name << ": " << error;
+    }
 }

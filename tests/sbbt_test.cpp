@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <random>
+#include "test_util.hpp"
 
 using namespace mbp;
 using namespace mbp::sbbt;
@@ -22,7 +23,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::testDir() + "/" + name;
 }
 
 Branch

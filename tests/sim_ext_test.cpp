@@ -14,6 +14,7 @@
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -24,7 +25,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::testDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -134,50 +135,6 @@ TEST(CollectMostFailed, DisablingDropsRankingButKeepsMetrics)
     EXPECT_FALSE(lean.contains("most_failed"));
     EXPECT_FALSE(lean.find("metrics")->contains("num_most_failed_branches"));
     std::remove(path.c_str());
-}
-
-TEST(SimulateSuiteParallel, MatchesSequentialResults)
-{
-    std::vector<std::string> traces;
-    for (int i = 0; i < 5; ++i)
-        traces.push_back(writeTrace("par_" + std::to_string(i) + ".sbbt",
-                                    std::uint64_t(100 + i), 150'000));
-    auto factory = [] { return std::make_unique<pred::Gshare<12, 14>>(); };
-    json_t serial = simulateSuite(factory, traces, SimArgs{});
-    json_t parallel = simulateSuiteParallel(factory, traces, SimArgs{}, 4);
-
-    const json_t &ss = *serial.find("summary");
-    const json_t &ps = *parallel.find("summary");
-    EXPECT_EQ(ss.find("total_mispredictions")->asUint(),
-              ps.find("total_mispredictions")->asUint());
-    EXPECT_EQ(ss.find("total_instructions")->asUint(),
-              ps.find("total_instructions")->asUint());
-    EXPECT_DOUBLE_EQ(ss.find("amean_mpki")->asDouble(),
-                     ps.find("amean_mpki")->asDouble());
-    // Per-trace results arrive in trace order in both drivers.
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        EXPECT_EQ((*serial.find("traces"))[i]
-                      .find("metrics")
-                      ->find("mispredictions")
-                      ->asUint(),
-                  (*parallel.find("traces"))[i]
-                      .find("metrics")
-                      ->find("mispredictions")
-                      ->asUint())
-            << i;
-    }
-    for (const auto &t : traces)
-        std::remove(t.c_str());
-}
-
-TEST(SimulateSuiteParallel, OneThreadFallsBackToSequential)
-{
-    std::vector<std::string> traces = {
-        writeTrace("par_single.sbbt", 77, 100'000)};
-    auto factory = [] { return std::make_unique<pred::Bimodal<12>>(); };
-    json_t result = simulateSuiteParallel(factory, traces, SimArgs{}, 1);
-    EXPECT_EQ(result.find("summary")->find("num_traces")->asUint(), 1u);
-    std::remove(traces[0].c_str());
 }
 
 TEST(Compare, MatchesIndependentSimulateRunsWithWarmup)

@@ -10,11 +10,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <vector>
 
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -24,7 +26,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::testDir() + "/" + name;
 }
 
 Branch
@@ -274,9 +276,10 @@ TEST(Simulate, MostFailedRankingAndHalfRule)
 
 TEST(Simulate, BlockedPrefetchMatchesPacketPath)
 {
-    // The block-decoded, prefetching default pipeline must produce results
-    // bit-identical to the seed packet-at-a-time reader — everything but
-    // the wall-clock fields.
+    // The prefetching default pipeline must produce results bit-identical
+    // to a synchronous read — everything but the wall-clock fields.
+    // (Reader block-size invariance is pinned at the reader level,
+    // sbbt_test.)
     std::vector<std::pair<Branch, std::uint32_t>> events;
     for (int i = 0; i < 5000; ++i)
         events.push_back({cond(0x1000 + 16 * (i % 7), i % 3 == 0),
@@ -298,7 +301,6 @@ TEST(Simulate, BlockedPrefetchMatchesPacketPath)
 
     SimArgs seed_args;
     seed_args.trace_path = path;
-    seed_args.reader_block_packets = 1;
     seed_args.prefetch = false;
     ScriptedPredictor seed_pred({true, false, true});
     json_t seed = simulate(seed_pred, seed_args);
@@ -354,6 +356,41 @@ TEST(Simulate, TruncatedTraceReportsErrorAllCodecs)
         EXPECT_FALSE(result.contains("metrics")) << name;
         std::remove(path.c_str());
     }
+}
+
+TEST(Simulate, CorruptPacketPastTheStopPointStaysInvisible)
+{
+    // An invalid packet behind the branch that ends the run (the first
+    // one past the instruction limit) is never decoded: the run reports
+    // no error, in both loop shapes. Without the limit it is an error.
+    std::vector<std::pair<Branch, std::uint32_t>> events;
+    for (int i = 0; i < 6000; ++i)
+        events.push_back({cond(0x1000 + 16 * (i % 5), i % 2 == 0), 9});
+    const std::string path = writeTrace("bad_tail.sbbt", events);
+    {
+        // Packet 4050 gets an undefined opcode (base type 11). The
+        // reader decodes it in the same refill as the stop point.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(std::streamoff(sbbt::kHeaderSize +
+                               4050 * sbbt::kPacketSize));
+        f.put(static_cast<char>(0x0c));
+    }
+    SimArgs args;
+    args.trace_path = path;
+    args.sim_instr = 4000 * 10; // stops at branch 4000, mid-block
+    ScriptedPredictor one({true});
+    json_t cut = simulate(one, args);
+    EXPECT_FALSE(cut.contains("error")) << cut.dump(2);
+    EXPECT_FALSE(cut.find("metadata")->find("exhausted_trace")->asBool());
+    ScriptedPredictor a({true}), b({false});
+    json_t cut_many = compare(a, b, args);
+    EXPECT_FALSE(cut_many.contains("error")) << cut_many.dump(2);
+
+    args.sim_instr = SimArgs{}.sim_instr;
+    ScriptedPredictor whole({true});
+    EXPECT_TRUE(simulate(whole, args).contains("error"));
+    std::remove(path.c_str());
 }
 
 TEST(Simulate, MissingTraceReportsError)

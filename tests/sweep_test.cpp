@@ -26,6 +26,7 @@
 #include "mbp/sbbt/arena_store.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_util.hpp"
 
 using namespace mbp;
 
@@ -36,7 +37,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::testDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -158,18 +159,20 @@ TEST_F(SweepTest, CellsMatchSerialSimulateRuns)
     campaign.base_args.warmup_instr = 30'000;
     json_t result = sweep::run(campaign, 4);
 
-    const json_t &cells = *result.find("cells");
+    using mbp::test::at;
+    const json_t &cells = at(result, "cells");
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const json_t &cell = cells[i];
-        auto serial_pred =
-            pred::makeByName(cell.find("predictor")->asString());
+        auto serial_pred = pred::makeByName(at(cell, "predictor").asString());
         ASSERT_NE(serial_pred, nullptr);
         SimArgs args = campaign.base_args;
-        args.trace_path = cell.find("trace")->asString();
+        args.trace_path = at(cell, "trace").asString();
         json_t serial = simulate(*serial_pred, args);
 
-        const json_t &par_metrics = *cell.find("result")->find("metrics");
-        const json_t &ser_metrics = *serial.find("metrics");
+        // An error document (say, an unreadable trace) fails here with
+        // the document in the message, not with a null dereference.
+        const json_t &par_metrics = at(at(cell, "result"), "metrics");
+        const json_t &ser_metrics = at(serial, "metrics");
         for (const char *key :
              {"mpki", "mispredictions", "accuracy"})
             EXPECT_EQ(*par_metrics.find(key), *ser_metrics.find(key))
@@ -553,7 +556,7 @@ TEST(TraceCache, ConcurrentAcquiresShareOneDecode)
 
 TEST(TraceCache, FailedLoadsReportErrorsAndRetry)
 {
-    const std::string missing = testing::TempDir() + "/cache_missing.sbbt";
+    const std::string missing = mbp::test::testDir() + "/cache_missing.sbbt";
     sweep::TraceCache cache;
     std::string error;
     EXPECT_EQ(cache.acquire(missing, {}, &error), nullptr);
@@ -606,7 +609,7 @@ TEST(TraceCache, ContentIdenticalCopiesShareOneArena)
     // Keying is by content, not by (canonicalized) name: a byte-identical
     // copy under a different name is the same trace.
     const std::string path = writeTrace("cache_copy_a.sbbt", 411, 50'000);
-    const std::string copy = testing::TempDir() + "/cache_copy_b.sbbt";
+    const std::string copy = mbp::test::testDir() + "/cache_copy_b.sbbt";
     {
         std::ifstream src(path, std::ios::binary);
         std::ofstream dst(copy, std::ios::binary);
@@ -658,7 +661,7 @@ TEST(TraceCache, WaitersOnFailedLoadsAreNotHits)
     // decode that then *failed* was counted as a cache hit, inflating the
     // aggregate. Whatever the interleaving, a failing trace must produce
     // zero hits — only misses and failed_waits.
-    const std::string path = testing::TempDir() + "/cache_fail_race.sbbt";
+    const std::string path = mbp::test::testDir() + "/cache_fail_race.sbbt";
     {
         // A file that passes the header peek but fails mid-decode keeps
         // the loading window open as long as possible; a missing file
@@ -692,7 +695,7 @@ TEST(TraceCache, WaitersOnFailedLoadsAreNotHits)
 TEST(TraceCache, ConsultsThePersistentStoreOnMisses)
 {
     const std::string path = writeTrace("cache_store.sbbt", 413, 60'000);
-    const std::string dir = testing::TempDir() + "/cache_store_dir";
+    const std::string dir = mbp::test::testDir() + "/cache_store_dir";
     std::filesystem::remove_all(dir);
     auto store = std::make_shared<sbbt::ArenaStore>(dir);
     ASSERT_TRUE(store->ok());
@@ -717,7 +720,7 @@ TEST(TraceCache, ConsultsThePersistentStoreOnMisses)
 
 TEST_F(SweepTest, ArenaCacheCampaignMapsOnTheSecondRun)
 {
-    const std::string dir = testing::TempDir() + "/sweep_arena_dir";
+    const std::string dir = mbp::test::testDir() + "/sweep_arena_dir";
     std::filesystem::remove_all(dir);
     sweep::Campaign campaign;
     campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
