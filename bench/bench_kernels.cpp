@@ -6,9 +6,11 @@
  * predictors twice per configuration — the virtual simulate() versus the
  * fused compile-time kernel (mbp::simulateFused, via the roster's fused
  * registry) — and writes `BENCH_kernels.json` (path from argv[1],
- * default ./BENCH_kernels.json) with branches/second for both paths,
- * with and without per-branch collection, so the devirtualization
- * speedup is a diffable artifact of every CI run.
+ * default ./BENCH_kernels.json) with branches/second for both paths
+ * (best run of each), with and without per-branch collection,
+ * so the devirtualization speedup is a diffable artifact of every CI
+ * run. The speedup is the median fused/virtual ratio over interleaved
+ * run pairs, with its interquartile range alongside.
  *
  * Functional checks, enforced with exit code 1:
  *   - both paths produce identical misprediction counts and measured
@@ -20,6 +22,8 @@
  *     sanitizer builds where absolute numbers are meaningless; the
  *     real speedups are reported in the JSON for trend tracking.
  */
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -38,43 +42,103 @@ namespace
 /** Loose fail-if-slower floor; see the file comment. */
 constexpr double kSanityRatio = 0.6;
 
-constexpr int kReps = 5;
+/**
+ * Virtual/fused run pairs per configuration: at least kMinPairs, and more
+ * (up to kMaxPairs) until the row has run for kMinRowSeconds, so the
+ * cheap predictors, whose runs last milliseconds, get enough pairs for a
+ * stable median. The two sides of a pair run back to back (alternating
+ * which goes first), and the row's speedup is the median of the per-pair
+ * ratios, so load that drifts over seconds on a shared host moves both
+ * sides of a pair together instead of landing on whichever side happened
+ * to be measured during it.
+ */
+constexpr int kMinPairs = 9;
+constexpr int kMaxPairs = 99;
+constexpr double kMinRowSeconds = 1.0;
 
-struct Measurement
+/** Outcome of one run: throughput plus what must agree across paths. */
+struct Run
 {
-    double bps = 0.0; // best of kReps
+    double bps = 0.0;
     std::uint64_t mispredictions = 0;
     std::uint64_t simulation_instr = 0;
     bool failed = false;
 };
 
+Run
+runOnce(const std::string &name, const mbp::SimArgs &args, bool fused)
+{
+    Run run;
+    mbp::json_t result;
+    if (fused) {
+        result = mbp::pred::fusedRunnerByName(name)(args);
+    } else {
+        auto predictor = mbp::pred::makeByName(name);
+        result = mbp::simulate(*predictor, args);
+    }
+    if (result.contains("error")) {
+        std::fprintf(stderr, "%s (%s): %s\n", name.c_str(),
+                     fused ? "fused" : "virtual",
+                     result.find("error")->asString().c_str());
+        run.failed = true;
+        return run;
+    }
+    const mbp::json_t &metrics = *result.find("metrics");
+    run.bps = metrics.find("branches_per_second")->asDouble();
+    run.mispredictions = metrics.find("mispredictions")->asUint();
+    run.simulation_instr =
+        result.find("metadata")->find("simulation_instr")->asUint();
+    return run;
+}
+
+struct Measurement
+{
+    Run virt;                   // bps = best over the pairs
+    Run fused;                  // bps = best over the pairs
+    std::vector<double> ratios; // fused/virtual per pair, sorted
+    bool failed = false;
+};
+
+/** @return The q-quantile (0..1) of sorted @p v, linearly interpolated. */
+double
+quantile(const std::vector<double> &v, double q)
+{
+    if (v.empty())
+        return 0.0;
+    const double pos = q * double(v.size() - 1);
+    const std::size_t lo = std::size_t(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
+}
+
 Measurement
-measure(const std::string &name, const mbp::SimArgs &args, bool fused)
+measure(const std::string &name, const mbp::SimArgs &args)
 {
     Measurement m;
-    for (int rep = 0; rep < kReps; ++rep) {
-        mbp::json_t result;
-        if (fused) {
-            result = mbp::pred::fusedRunnerByName(name)(args);
-        } else {
-            auto predictor = mbp::pred::makeByName(name);
-            result = mbp::simulate(*predictor, args);
+    const auto start = std::chrono::steady_clock::now();
+    for (int pair = 0; pair < kMaxPairs; ++pair) {
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        if (pair >= kMinPairs && elapsed.count() >= kMinRowSeconds)
+            break;
+        Run side[2];
+        const bool fused_first = pair % 2 == 1;
+        for (int i = 0; i < 2; ++i) {
+            const bool fused = (i == 0) == fused_first;
+            side[fused ? 1 : 0] = runOnce(name, args, fused);
         }
-        if (result.contains("error")) {
-            std::fprintf(stderr, "%s (%s): %s\n", name.c_str(),
-                         fused ? "fused" : "virtual",
-                         result.find("error")->asString().c_str());
+        if (side[0].failed || side[1].failed) {
             m.failed = true;
             return m;
         }
-        const mbp::json_t &metrics = *result.find("metrics");
-        m.bps = std::max(
-            m.bps, metrics.find("branches_per_second")->asDouble());
-        m.mispredictions = metrics.find("mispredictions")->asUint();
-        m.simulation_instr = result.find("metadata")
-                                 ->find("simulation_instr")
-                                 ->asUint();
+        if (side[0].bps > 0.0)
+            m.ratios.push_back(side[1].bps / side[0].bps);
+        side[0].bps = std::max(side[0].bps, m.virt.bps);
+        side[1].bps = std::max(side[1].bps, m.fused.bps);
+        m.virt = side[0];
+        m.fused = side[1];
     }
+    std::sort(m.ratios.begin(), m.ratios.end());
     return m;
 }
 
@@ -119,9 +183,10 @@ main(int argc, char **argv)
             args.trace_path = entries[0].sbbt_flz;
             args.preloaded = arena;
             args.collect_most_failed = collect;
-            const Measurement virt = measure(name, args, false);
-            const Measurement fused = measure(name, args, true);
-            if (virt.failed || fused.failed) {
+            const Measurement m = measure(name, args);
+            const Run &virt = m.virt;
+            const Run &fused = m.fused;
+            if (m.failed) {
                 ok = false;
                 continue;
             }
@@ -138,8 +203,9 @@ main(int argc, char **argv)
                     (unsigned long long)fused.simulation_instr);
                 ok = false;
             }
-            const double speedup =
-                virt.bps > 0.0 ? fused.bps / virt.bps : 0.0;
+            const double speedup = quantile(m.ratios, 0.5);
+            const double spread =
+                quantile(m.ratios, 0.75) - quantile(m.ratios, 0.25);
             if (speedup < kSanityRatio) {
                 std::fprintf(stderr,
                              "%s (collect=%d): fused kernel slower than "
@@ -149,9 +215,9 @@ main(int argc, char **argv)
                 ok = false;
             }
             std::printf("%-10s collect=%d  virtual %12.0f b/s   fused "
-                        "%12.0f b/s   %5.2fx\n",
+                        "%12.0f b/s   %5.2fx (IQR %.2f, %zu pairs)\n",
                         name.c_str(), collect ? 1 : 0, virt.bps,
-                        fused.bps, speedup);
+                        fused.bps, speedup, spread, m.ratios.size());
             rows.push_back(json_t::object({
                 {"predictor", name},
                 {"collect_most_failed", collect},
@@ -161,6 +227,8 @@ main(int argc, char **argv)
                 // trajectory is trackable even as the ratio saturates.
                 {"branches_per_second", fused.bps},
                 {"speedup", speedup},
+                {"speedup_iqr", spread},
+                {"pairs", std::uint64_t(m.ratios.size())},
                 {"mispredictions", virt.mispredictions},
             }));
         }
@@ -175,7 +243,8 @@ main(int argc, char **argv)
                          {"num_instr", spec.num_instr},
                          {"branches", std::uint64_t(arena->size())},
                      })},
-        {"reps", std::uint64_t(kReps)},
+        {"min_pairs", std::uint64_t(kMinPairs)},
+        {"min_row_seconds", kMinRowSeconds},
         {"sanity_ratio", kSanityRatio},
         {"rows", std::move(rows)},
         {"checks_passed", ok},
