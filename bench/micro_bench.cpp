@@ -18,6 +18,7 @@
 #include "bench_predictors.hpp"
 #include "mbp/compress/flz.hpp"
 #include "mbp/compress/streams.hpp"
+#include "mbp/sbbt/blocks.hpp"
 #include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sbbt/reader.hpp"
@@ -26,6 +27,7 @@
 #include "mbp/utils/flat_hash_map.hpp"
 #include "mbp/utils/hash.hpp"
 #include "mbp/utils/history.hpp"
+#include "mbp/utils/interner.hpp"
 
 namespace
 {
@@ -291,6 +293,60 @@ BM_MemTraceLoad(benchmark::State &state)
         static_cast<double>(pipelineArena()->memoryBytes());
 }
 BENCHMARK(BM_MemTraceLoad)->Unit(benchmark::kMillisecond);
+
+/**
+ * The arena build's decode layer alone: in-memory SBBT bytes into the
+ * five block columns, through the column decoder and the site interner
+ * every decoded trace uses — no decompression, no page faults. Next to
+ * BM_MemTraceLoad (the whole build from a compressed file) and
+ * BM_FlatHashMapUpsert (the map probe the intern cache mostly skips).
+ */
+void
+BM_BlockDecode(benchmark::State &state)
+{
+    static const std::vector<std::uint8_t> trace = [] {
+        sbbt::Header header;
+        for (const auto &ev : eventBuffer()) {
+            ++header.branch_count;
+            header.instruction_count += ev.instr_gap + 1;
+        }
+        const auto head = sbbt::encodeHeader(header);
+        std::vector<std::uint8_t> bytes(head.begin(), head.end());
+        const auto packets = packetBytes();
+        bytes.insert(bytes.end(), packets.begin(), packets.end());
+        return bytes;
+    }();
+    constexpr std::size_t kRows = sbbt::kBlockBranches;
+    std::vector<std::uint64_t> ip(kRows), target(kRows), instr(kRows);
+    std::vector<std::uint8_t> meta(kRows);
+    std::vector<std::uint32_t> site(kRows);
+    std::uint64_t branches = 0;
+    for (auto _ : state) {
+        sbbt::SbbtReader reader(std::make_unique<compress::InStream>(
+            std::make_unique<compress::MemorySource>(trace.data(),
+                                                     trace.size())));
+        util::Interner sites;
+        branches = 0;
+        for (;;) {
+            const std::size_t n = reader.readColumns(
+                {ip.data(), target.data(), instr.data(), meta.data()}, kRows,
+                sbbt::BlockSource::kNoLimit);
+            sites.intern(ip.data(), site.data(), n);
+            branches += n;
+            if (n < kRows)
+                break;
+        }
+        if (!reader.exhausted()) {
+            state.SkipWithError(reader.error().c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(site.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(branches));
+}
+BENCHMARK(BM_BlockDecode)->Unit(benchmark::kMillisecond);
 
 /**
  * The steady-state in-memory path: replay the already-decoded arena

@@ -107,6 +107,8 @@ class MemorySource : public ByteSource
     read(void *dst, std::size_t size) override
     {
         std::size_t n = std::min(size, size_ - pos_);
+        if (n == 0)
+            return 0; // data_ may be null for an empty buffer
         std::memcpy(dst, data_ + pos_, n);
         pos_ += n;
         return n;

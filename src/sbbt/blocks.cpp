@@ -6,27 +6,22 @@
 
 #include <algorithm>
 #include <array>
-#include <vector>
 
+#include "column_decoder.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/utils/flat_hash_map.hpp"
 
 namespace mbp::sbbt
 {
 
-/** Stream-mode state: the reader, one block of columns, the site table. */
+/** Stream-mode state: the column decoder and one reused block. */
 struct BlockSource::Decoder
 {
     Decoder(const std::string &path, const ReaderOptions &options)
-        : reader(path, options)
+        : columns(path, options)
     {
     }
 
-    SbbtReader reader;
-    // Site ids are assigned in first-seen order; the map stores id + 1 so
-    // FlatHashMap's default-constructed 0 means "not seen yet".
-    util::FlatHashMap<std::uint32_t> site_of;
-    std::vector<std::uint64_t> site_ips;
+    ColumnDecoder columns;
     std::array<std::uint64_t, kBlockBranches> ip;
     std::array<std::uint64_t, kBlockBranches> target;
     std::array<std::uint64_t, kBlockBranches> instr;
@@ -59,7 +54,7 @@ BlockSource::BlockSource(const std::string &path,
                          const ReaderOptions &options, std::uint64_t limit)
     : limit_(limit), decoder_(std::make_unique<Decoder>(path, options))
 {
-    const SbbtReader &reader = decoder_->reader;
+    const SbbtReader &reader = decoder_->columns.reader();
     if (!reader.ok()) {
         error_ = reader.error();
         done_ = true;
@@ -100,46 +95,21 @@ BlockSource::nextSlice(Block &out)
 bool
 BlockSource::nextDecoded(Block &out)
 {
-    constexpr std::size_t kMaxSites =
-        std::numeric_limits<std::uint32_t>::max();
     Decoder &d = *decoder_;
-    PacketData packet;
-    std::size_t n = 0;
-    while (n < kBlockBranches) {
-        if (!d.reader.next(packet)) {
-            done_ = true;
-            error_ = d.reader.error();
-            exhausted_ = d.reader.exhausted();
-            break;
-        }
-        const std::uint64_t instr = d.reader.instrNumber();
-        last_instr_ = instr;
-        if (instr > limit_) {
-            done_ = true; // read, never delivered
-            break;
-        }
-        const std::uint64_t ip = packet.branch.ip();
-        std::uint32_t &slot = d.site_of[ip];
-        if (slot == 0) {
-            if (d.site_ips.size() == kMaxSites) {
-                error_ = "trace has 2^32-1 or more distinct branch sites; "
-                         "site index would overflow";
-                done_ = true;
-                return false;
-            }
-            d.site_ips.push_back(ip);
-            slot = static_cast<std::uint32_t>(d.site_ips.size());
-        }
-        d.ip[n] = ip;
-        d.target[n] = packet.branch.target();
-        d.instr[n] = instr;
-        d.meta[n] = packMeta(packet.branch);
-        d.site[n] = slot - 1;
-        ++n;
+    const std::size_t n = d.columns.decode(
+        {d.ip.data(), d.target.data(), d.instr.data(), d.meta.data(),
+         d.site.data()},
+        kBlockBranches, limit_);
+    const SbbtReader &reader = d.columns.reader();
+    last_instr_ = reader.instrNumber();
+    if (n < kBlockBranches) { // past the limit, end of trace or error
+        done_ = true;
+        error_ = d.columns.error();
+        exhausted_ = reader.exhausted();
     }
     branches_ += n;
-    site_ips_ = d.site_ips.data();
-    num_sites_ = static_cast<std::uint32_t>(d.site_ips.size());
+    site_ips_ = d.columns.sites().keys().data();
+    num_sites_ = static_cast<std::uint32_t>(d.columns.sites().size());
     out = Block{d.ip.data(),   d.target.data(), d.instr.data(),
                 d.meta.data(), d.site.data(),   n};
     return n > 0;
@@ -166,14 +136,17 @@ BlockSource::decompressedBytes() const
 {
     if (arena_ != nullptr)
         return arena_->decompressedBytes();
-    return decoder_ != nullptr ? decoder_->reader.decompressedBytes() : 0;
+    return decoder_ != nullptr
+               ? decoder_->columns.reader().decompressedBytes()
+               : 0;
 }
 
 double
 BlockSource::prefetchStallSeconds() const
 {
-    return decoder_ != nullptr ? decoder_->reader.prefetchStallSeconds()
-                               : 0.0;
+    return decoder_ != nullptr
+               ? decoder_->columns.reader().prefetchStallSeconds()
+               : 0.0;
 }
 
 } // namespace mbp::sbbt

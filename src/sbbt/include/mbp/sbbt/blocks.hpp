@@ -50,18 +50,6 @@ class MemTrace;
  *  L1d/L2 between a predictor pass and an accounting pass. */
 inline constexpr std::size_t kBlockBranches = 4096;
 
-/** Meta-byte bits: bits 0-3 hold the opcode, bit 4 the outcome. */
-inline constexpr std::uint8_t kMetaConditional = 0x01;
-inline constexpr std::uint8_t kMetaTaken = 0x10;
-
-/** @return The meta byte (opcode | outcome) of @p branch. */
-constexpr std::uint8_t
-packMeta(const Branch &branch)
-{
-    return static_cast<std::uint8_t>(branch.opcode().bits() |
-                                     (branch.isTaken() ? kMetaTaken : 0));
-}
-
 /** Columns of @p size consecutive branches (views; never owning). */
 struct Block
 {

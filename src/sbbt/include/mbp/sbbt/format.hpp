@@ -27,7 +27,9 @@
 #define MBP_SBBT_FORMAT_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "mbp/sbbt/branch.hpp"
@@ -108,6 +110,34 @@ addressIsCanonical(std::uint64_t addr)
     return static_cast<std::uint64_t>(s) == addr;
 }
 
+/** Why a packet is invalid. */
+enum class PacketFault : std::uint8_t
+{
+    kNone,            //!< the packet is valid
+    kUndefinedOpcode, //!< base type 0b11
+    kRuleViolation,   //!< breaks validity rule 1 or 2
+};
+
+/**
+ * The format's validity rules over a packet's fields: the one definition
+ * the encoder, the per-packet decoder and the column decoder all check.
+ */
+constexpr PacketFault
+packetFault(OpCode opcode, bool taken, std::uint64_t target)
+{
+    if (!opcode.valid())
+        return PacketFault::kUndefinedOpcode;
+    if (!opcode.isConditional() && !taken)
+        return PacketFault::kRuleViolation; // rule 1
+    if (opcode.isConditional() && opcode.isIndirect() && !taken &&
+        target != 0)
+        return PacketFault::kRuleViolation; // rule 2
+    return PacketFault::kNone;
+}
+
+/** @return The reader's error message for @p fault ("" for kNone). */
+const char *packetFaultMessage(PacketFault fault);
+
 /**
  * Checks the two packet validity rules for a branch.
  *
@@ -116,15 +146,89 @@ addressIsCanonical(std::uint64_t addr)
 constexpr bool
 branchIsValid(const Branch &b)
 {
-    if (!b.opcode().valid())
-        return false;
-    if (!b.isConditional() && !b.isTaken())
-        return false; // rule 1
-    if (b.isConditional() && b.isIndirect() && !b.isTaken() &&
-        b.target() != 0)
-        return false; // rule 2
-    return true;
+    return packetFault(b.opcode(), b.isTaken(), b.target()) ==
+           PacketFault::kNone;
 }
+
+/** Meta-byte bits: bits 0-3 hold the opcode, bit 4 the outcome. */
+inline constexpr std::uint8_t kMetaConditional = 0x01;
+inline constexpr std::uint8_t kMetaTaken = 0x10;
+
+/** @return The meta byte (opcode | outcome) of @p branch. */
+constexpr std::uint8_t
+packMeta(const Branch &branch)
+{
+    return static_cast<std::uint8_t>(branch.opcode().bits() |
+                                     (branch.isTaken() ? kMetaTaken : 0));
+}
+
+/** @return The little-endian u64 at @p p. */
+inline std::uint64_t
+loadLE64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof v);
+    } else {
+        v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= std::uint64_t(p[i]) << (8 * i);
+    }
+    return v;
+}
+
+/**
+ * One serialized packet's two words with accessors for its fields: the
+ * one place the packet layout is read, by decodePacket() and by the
+ * column decoder (SbbtReader::readColumns) alike.
+ */
+struct PacketWords
+{
+    std::uint64_t block1;
+    std::uint64_t block2;
+
+    /** @return The words of the 16 packet bytes at @p bytes. */
+    static PacketWords
+    load(const std::uint8_t *bytes)
+    {
+        return {loadLE64(bytes), loadLE64(bytes + 8)};
+    }
+
+    // Addresses are the top 52 bits, sign-extended by an arithmetic shift.
+    std::uint64_t ip() const { return toAddress(block1); }
+    std::uint64_t target() const { return toAddress(block2); }
+    OpCode
+    opcode() const
+    {
+        return OpCode(static_cast<std::uint8_t>(block1 & 0xf));
+    }
+    bool taken() const { return (block1 >> 11) & 1; }
+    std::uint32_t
+    gap() const
+    {
+        return static_cast<std::uint32_t>(block2 & 0xfff);
+    }
+    /** @return The meta byte (opcode | outcome), as packMeta(). */
+    std::uint8_t
+    meta() const
+    {
+        return static_cast<std::uint8_t>((block1 & 0xf) |
+                                         (taken() ? kMetaTaken : 0));
+    }
+    PacketFault
+    fault() const
+    {
+        return packetFault(opcode(), taken(), target());
+    }
+
+  private:
+    static std::uint64_t
+    toAddress(std::uint64_t block)
+    {
+        return static_cast<std::uint64_t>(static_cast<std::int64_t>(block) >>
+                                          12);
+    }
+};
 
 } // namespace mbp::sbbt
 

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mbp/sbbt/blocks.hpp"
 #include "mbp/sbbt/format.hpp"
@@ -46,7 +45,7 @@ namespace mbp::sbbt
  * kBytesPerBranch per branch regardless of the on-disk codec.
  *
  * The columns are exposed as raw pointers and owned in one of two ways:
- * load() decodes the trace into heap vectors, while mapFile() borrows
+ * load() decodes the trace into columns it owns, while mapFile() borrows
  * them zero-copy from a read-only mmap of an SBBT-A sidecar
  * (mbp/sbbt/arena_file.hpp) — same accessors, same blocks, same
  * simulation loops over either backing.
@@ -68,8 +67,12 @@ class MemTrace
     static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 8 + 1 + 4;
 
     /**
-     * Decodes the whole trace at @p path in one streaming pass, through
-     * the same block decoder a streaming simulation reads (BlockSource).
+     * Decodes the whole trace at @p path in one streaming pass, with the
+     * same column decoder a streaming simulation reads (BlockSource):
+     * packet bytes land straight in the arena's columns, block by block,
+     * and the per-site tables are filled while each block is in cache.
+     * Columns of 2 MiB or more live on transparent huge pages where the
+     * host allows (mbp/utils/column_buffer.hpp).
      *
      * Errors follow SbbtReader semantics: an unreadable file, corrupt
      * compressed stream, invalid packet or early-ending trace fails the
@@ -77,7 +80,8 @@ class MemTrace
      * untrusted: the columns reserve at most what the file's size can
      * hold (compress::decodedSizeBound) and grow geometrically past it,
      * so a header promising more branches than the file carries costs
-     * nothing before it fails as an early-ending trace.
+     * nothing before it fails as an early-ending trace, and one that
+     * promises exactly the branches present never grows the columns.
      *
      * @param path    Trace file (possibly compressed).
      * @param options Decode pipeline knobs (block size, prefetch thread).
@@ -142,7 +146,7 @@ class MemTrace
                     std::string *error = nullptr) const;
 
     /** @return Whether the columns are borrowed from an mmap (mapFile())
-     *          rather than owned by heap vectors (load()). */
+     *          rather than owned by the arena (load()). */
     bool mapped() const { return mapping_ != nullptr; }
 
     /** @return The trace header. */
@@ -202,15 +206,20 @@ class MemTrace
      *  the borrowed columns of a mapped arena alive. */
     class ArenaMapping;
 
+    /** The columns a decoded arena owns (see mem_trace.cpp). */
+    struct OwnedColumns;
+
     MemTrace() = default;
 
-    /** Points the column views at the owned vectors (decode path). */
-    void adoptOwnedColumns();
+    /** Takes @p rows rows of @p owned and points the column views at
+     *  them (decode path). */
+    void adoptOwnedColumns(std::shared_ptr<const OwnedColumns> owned,
+                           std::size_t rows);
 
     Header header_;
 
     // Column views — the only pointers the accessors and block sources
-    // read. They alias either the owned vectors below (load())
+    // read. They alias either the owned columns below (load())
     // or an ArenaMapping (mapFile()).
     const std::uint64_t *ips_p_ = nullptr;
     const std::uint64_t *targets_p_ = nullptr;
@@ -223,15 +232,8 @@ class MemTrace
     std::size_t size_ = 0;
     std::uint32_t num_sites_ = 0;
 
-    // Decode-path ownership (empty for a mapped arena).
-    std::vector<std::uint64_t> ips_;
-    std::vector<std::uint64_t> targets_;
-    std::vector<std::uint64_t> instr_nums_;
-    std::vector<std::uint8_t> meta_;
-    std::vector<std::uint32_t> site_index_;
-    std::vector<std::uint64_t> first_seen_;
-    std::vector<std::uint64_t> site_ips_;
-    std::vector<std::uint64_t> site_cond_occ_;
+    // Decode-path ownership (null for a mapped arena).
+    std::shared_ptr<const OwnedColumns> owned_;
 
     // Map-path ownership (null for a decoded arena).
     std::shared_ptr<const ArenaMapping> mapping_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Streaming SBBT trace reader with block decode and optional read-ahead.
+ * Streaming SBBT trace reader: block reads, per-packet or column decode,
+ * optional read-ahead.
  */
 #ifndef MBP_SBBT_READER_HPP
 #define MBP_SBBT_READER_HPP
@@ -28,11 +29,11 @@ inline constexpr std::size_t kDefaultBlockPackets = 4096;
 struct ReaderOptions
 {
     /**
-     * Packets decoded per refill. The reader pulls
+     * Packets read per refill. The reader pulls
      * `block_packets * kPacketSize` bytes per InStream::read call and
-     * decodes them eagerly, so next() is a pointer bump; 1 reproduces the
-     * original packet-at-a-time pipeline exactly (one virtual read per
-     * packet). Values are clamped to at least 1.
+     * decodes them from that buffer as they are asked for; 1 reproduces
+     * the original packet-at-a-time pipeline exactly (one virtual read
+     * per packet). Values are clamped to at least 1.
      */
     std::size_t block_packets = kDefaultBlockPackets;
 
@@ -45,6 +46,20 @@ struct ReaderOptions
 
     /** Ring-slot size for the prefetch thread. */
     std::size_t prefetch_block_bytes = 1 << 20;
+};
+
+/**
+ * Caller-owned columns a bulk decode (SbbtReader::readColumns) fills, one
+ * entry per branch: the write side of sbbt::Block without the site ids.
+ */
+struct PacketColumns
+{
+    std::uint64_t *ip;
+    std::uint64_t *target;
+    /** 1-based cumulative instruction number (instrNumber()). */
+    std::uint64_t *instr;
+    /** Opcode | outcome, as packMeta(). */
+    std::uint8_t *meta;
 };
 
 /**
@@ -91,13 +106,35 @@ class SbbtReader
     bool
     next(PacketData &out)
     {
-        if (block_pos_ == block_fill_ && !refill())
+        if (raw_pos_ == raw_fill_ && !refill())
             return false;
-        out = block_[block_pos_++];
+        if (!decodePacket(raw_.data() + raw_pos_ * kPacketSize, out,
+                          &error_)) {
+            done_ = true;
+            return false;
+        }
+        ++raw_pos_;
         ++branches_read_;
         instr_number_ += out.instr_gap + 1; // gap plus the branch itself
         return true;
     }
+
+    /**
+     * Decodes up to @p max branches straight into @p out: the bulk form
+     * of next(), with the same validity rules, errors and byte accounting.
+     *
+     * Stops early after reading — but not storing — the first branch
+     * whose instruction number exceeds @p limit: instrNumber() and
+     * branchesRead() then count it, nothing behind it is decoded (so an
+     * invalid packet there stays invisible), and a later call resumes
+     * after it.
+     *
+     * @return Branches stored. Fewer than @p max means the limit was
+     *         passed (instrNumber() > limit), the trace ended
+     *         (exhausted()) or an error occurred (error()).
+     */
+    std::size_t readColumns(const PacketColumns &out, std::size_t max,
+                            std::uint64_t limit);
 
     /**
      * @return 1-based instruction number of the most recent branch (the
@@ -105,7 +142,7 @@ class SbbtReader
      */
     std::uint64_t instrNumber() const { return instr_number_; }
 
-    /** @return Branches delivered so far. */
+    /** @return Branches read so far. */
     std::uint64_t branchesRead() const { return branches_read_; }
 
     /** @return Whether the whole trace was consumed without error. */
@@ -136,11 +173,10 @@ class SbbtReader
     compress::PrefetchSource *prefetch_ = nullptr; // owned via input_
     Header header_;
     std::string error_;
-    std::string pending_error_; // surfaces once decoded packets drain
-    std::vector<std::uint8_t> raw_;  // undecoded block bytes
-    std::vector<PacketData> block_;  // decoded packets
-    std::size_t block_pos_ = 0;
-    std::size_t block_fill_ = 0;
+    std::string pending_error_; // surfaces once buffered packets drain
+    std::vector<std::uint8_t> raw_; // undecoded block bytes
+    std::size_t raw_pos_ = 0;       // next packet to decode
+    std::size_t raw_fill_ = 0;      // complete packets in raw_
     std::uint64_t instr_number_ = 0;
     std::uint64_t branches_read_ = 0;
     std::uint64_t bytes_read_ = 0;

@@ -4,89 +4,128 @@
 #include <bit>
 #include <chrono>
 #include <utility>
+#include <vector>
 
+#include "column_decoder.hpp"
 #include "mbp/compress/streams.hpp"
+#include "mbp/utils/column_buffer.hpp"
 
 namespace mbp::sbbt
 {
 
-namespace
+struct MemTrace::OwnedColumns
 {
+    // Per branch: written once, in place, by the column decoder.
+    util::Column<std::uint64_t> ips;
+    util::Column<std::uint64_t> targets;
+    util::Column<std::uint64_t> instr_nums;
+    util::Column<std::uint8_t> meta;
+    util::Column<std::uint32_t> site_index;
+    // Per 64 branches, then per site.
+    std::vector<std::uint64_t> first_seen;
+    std::vector<std::uint64_t> site_ips;
+    std::vector<std::uint64_t> site_cond_occ;
 
-template <typename T>
-void
-append(std::vector<T> &column, const T *values, std::size_t count)
-{
-    column.insert(column.end(), values, values + count);
-}
+    std::size_t capacity() const { return ips.capacity(); }
 
-} // namespace
+    /** Grows every per-branch column to @p rows, keeping @p keep. */
+    void
+    reserve(std::size_t rows, std::size_t keep)
+    {
+        ips.reserve(rows, keep);
+        targets.reserve(rows, keep);
+        instr_nums.reserve(rows, keep);
+        meta.reserve(rows, keep);
+        site_index.reserve(rows, keep);
+        first_seen.reserve((rows + 63) / 64);
+    }
+
+    /** @return The columns' writable rows from @p row on. */
+    BlockColumns
+    at(std::size_t row)
+    {
+        return {ips.data() + row, targets.data() + row,
+                instr_nums.data() + row, meta.data() + row,
+                site_index.data() + row};
+    }
+
+    std::uint64_t
+    bytes() const
+    {
+        return ips.reservedBytes() + targets.reservedBytes() +
+               instr_nums.reservedBytes() + meta.reservedBytes() +
+               site_index.reservedBytes() +
+               first_seen.capacity() * sizeof(std::uint64_t) +
+               site_ips.capacity() * sizeof(std::uint64_t) +
+               site_cond_occ.capacity() * sizeof(std::uint64_t);
+    }
+};
 
 std::shared_ptr<const MemTrace>
 MemTrace::load(const std::string &path, const ReaderOptions &options,
                std::string *error)
 {
     const auto start = std::chrono::steady_clock::now();
-    BlockSource source(path, options);
-    if (!source.ok()) {
+    ColumnDecoder decoder(path, options);
+    if (!decoder.reader().ok()) {
         if (error != nullptr)
-            *error = source.error();
+            *error = decoder.reader().error();
         return nullptr;
     }
 
     // make_shared is unavailable with the private constructor; the arena
     // is shared read-only so the separate control block costs nothing hot.
     std::shared_ptr<MemTrace> trace(new MemTrace());
-    trace->header_ = source.header();
+    trace->header_ = decoder.reader().header();
     // Reserve for the header's branch count, but never more than the file
-    // can hold: a crafted header must not drive the allocation.
+    // can hold: a crafted header must not drive the allocation. The one
+    // spare row lets an exact header's last read find the end of the
+    // trace without growing (and so copying) every column.
     const std::uint64_t bound = compress::decodedSizeBound(path);
     const std::uint64_t fits =
         bound > kHeaderSize ? (bound - kHeaderSize) / kPacketSize : 0;
-    const auto hint = static_cast<std::size_t>(
-        std::min(trace->header_.branch_count, fits));
-    trace->ips_.reserve(hint);
-    trace->targets_.reserve(hint);
-    trace->instr_nums_.reserve(hint);
-    trace->meta_.reserve(hint);
-    trace->site_index_.reserve(hint);
-    trace->first_seen_.reserve((hint + 63) / 64);
+    auto owned = std::make_shared<OwnedColumns>();
+    OwnedColumns &c = *owned;
+    c.reserve(static_cast<std::size_t>(
+                  std::min(trace->header_.branch_count, fits) + 1),
+              0);
 
-    Block block;
+    std::size_t rows = 0;
     std::uint32_t seen = 0; // site ids are dense in first-seen order
-    while (source.next(block)) {
-        const std::size_t base = trace->ips_.size();
-        append(trace->ips_, block.ip, block.size);
-        append(trace->targets_, block.target, block.size);
-        append(trace->instr_nums_, block.instr, block.size);
-        append(trace->meta_, block.meta, block.size);
-        append(trace->site_index_, block.site, block.size);
-        trace->first_seen_.resize((base + block.size + 63) / 64, 0);
-        trace->site_cond_occ_.resize(source.numSites(), 0);
-        for (std::size_t i = 0; i < block.size; ++i) {
+    for (;;) {
+        if (rows == c.capacity()) // the header under-promised
+            c.reserve(std::max(2 * rows, rows + kBlockBranches), rows);
+        const std::size_t want =
+            std::min(kBlockBranches, c.capacity() - rows);
+        const BlockColumns block = c.at(rows);
+        const std::size_t got =
+            decoder.decode(block, want, BlockSource::kNoLimit);
+        c.first_seen.resize((rows + got + 63) / 64, 0);
+        c.site_cond_occ.resize(decoder.sites().size(), 0);
+        for (std::size_t i = 0; i < got; ++i) {
             const std::uint32_t s = block.site[i];
             if (s == seen) {
-                const std::size_t row = base + i;
-                trace->first_seen_[row / 64] |= std::uint64_t{1}
-                                                << (row & 63);
+                const std::size_t row = rows + i;
+                c.first_seen[row / 64] |= std::uint64_t{1} << (row & 63);
                 ++seen;
             }
             // Predictor-independent accounting, paid once at decode: the
             // per-site conditional-execution totals every full-trace
             // collect_most_failed run needs.
-            trace->site_cond_occ_[s] += block.meta[i] & kMetaConditional;
+            c.site_cond_occ[s] += block.meta[i] & kMetaConditional;
         }
+        rows += got;
+        if (got < want)
+            break;
     }
-    if (!source.error().empty()) {
+    if (!decoder.error().empty()) {
         if (error != nullptr)
-            *error = source.error();
+            *error = decoder.error();
         return nullptr;
     }
-    trace->num_sites_ = source.numSites();
-    trace->site_ips_.assign(source.siteIps(),
-                            source.siteIps() + trace->num_sites_);
-    trace->adoptOwnedColumns();
-    trace->decompressed_bytes_ = source.decompressedBytes();
+    c.site_ips = decoder.sites().keys();
+    trace->adoptOwnedColumns(std::move(owned), rows);
+    trace->decompressed_bytes_ = decoder.reader().decompressedBytes();
     trace->load_seconds_ =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -95,17 +134,21 @@ MemTrace::load(const std::string &path, const ReaderOptions &options,
 }
 
 void
-MemTrace::adoptOwnedColumns()
+MemTrace::adoptOwnedColumns(std::shared_ptr<const OwnedColumns> owned,
+                            std::size_t rows)
 {
-    ips_p_ = ips_.data();
-    targets_p_ = targets_.data();
-    instr_nums_p_ = instr_nums_.data();
-    meta_p_ = meta_.data();
-    site_index_p_ = site_index_.data();
-    first_seen_p_ = first_seen_.data();
-    site_ips_p_ = site_ips_.data();
-    site_cond_occ_p_ = site_cond_occ_.data();
-    size_ = ips_.size();
+    owned_ = std::move(owned);
+    const OwnedColumns &c = *owned_;
+    ips_p_ = c.ips.data();
+    targets_p_ = c.targets.data();
+    instr_nums_p_ = c.instr_nums.data();
+    meta_p_ = c.meta.data();
+    site_index_p_ = c.site_index.data();
+    first_seen_p_ = c.first_seen.data();
+    site_ips_p_ = c.site_ips.data();
+    site_cond_occ_p_ = c.site_cond_occ.data();
+    size_ = rows;
+    num_sites_ = static_cast<std::uint32_t>(c.site_ips.size());
 }
 
 std::uint64_t
@@ -145,15 +188,7 @@ MemTrace::memoryBytes() const
     // bytes of page cache, shared with every other process mapping it.
     if (mapping_ != nullptr)
         return sizeof(MemTrace) + mapped_bytes_;
-    return sizeof(MemTrace) +
-           ips_.capacity() * sizeof(std::uint64_t) +
-           targets_.capacity() * sizeof(std::uint64_t) +
-           instr_nums_.capacity() * sizeof(std::uint64_t) +
-           meta_.capacity() * sizeof(std::uint8_t) +
-           site_index_.capacity() * sizeof(std::uint32_t) +
-           first_seen_.capacity() * sizeof(std::uint64_t) +
-           site_ips_.capacity() * sizeof(std::uint64_t) +
-           site_cond_occ_.capacity() * sizeof(std::uint64_t);
+    return sizeof(MemTrace) + owned_->bytes();
 }
 
 } // namespace mbp::sbbt

@@ -2,14 +2,17 @@
  * @file
  * SbbtReader implementation.
  *
- * The reader decodes the trace in blocks: one InStream::read pulls
- * block_packets * kPacketSize bytes, every complete packet is decoded into
- * block_ up front, and next() hands them out by index. Errors discovered
- * while refilling (truncated tail, invalid packet) are parked in
- * pending_error_ so that every packet preceding the error is still
- * delivered first, matching the packet-at-a-time semantics bit for bit.
+ * The reader pulls the trace in blocks: one InStream::read fills raw_
+ * with block_packets * kPacketSize bytes, and next() or readColumns()
+ * decode packets from it only as they are asked for, so nothing past the
+ * point a consumer stops at is ever decoded. A ragged tail found while
+ * refilling is parked in pending_error_ and an invalid packet fails when
+ * it is reached, so every packet preceding an error is still delivered
+ * first, matching the packet-at-a-time semantics bit for bit.
  */
 #include "mbp/sbbt/reader.hpp"
+
+#include <algorithm>
 
 #include "mbp/compress/prefetch.hpp"
 
@@ -53,7 +56,6 @@ SbbtReader::initBlocks(const ReaderOptions &options)
 {
     std::size_t block_packets = std::max<std::size_t>(options.block_packets, 1);
     raw_.resize(block_packets * kPacketSize);
-    block_.resize(block_packets);
 }
 
 double
@@ -100,29 +102,69 @@ SbbtReader::refill()
         return false;
     }
     // A short read means the stream ended: InStream::read only returns less
-    // than requested at end of input. A ragged tail is a truncated packet.
-    std::size_t full = n / kPacketSize;
+    // than requested at end of input. A ragged tail is a truncated packet;
+    // an invalid packet ahead of it fails first, when it is decoded.
+    raw_pos_ = 0;
+    raw_fill_ = n / kPacketSize;
     if (n % kPacketSize != 0)
         pending_error_ = "truncated SBBT packet";
-    std::size_t decoded = 0;
-    std::string decode_error;
-    for (; decoded < full; ++decoded) {
-        if (!decodePacket(raw_.data() + decoded * kPacketSize,
-                          block_[decoded], &decode_error)) {
-            // The invalid packet precedes any ragged tail in stream order.
-            pending_error_ = decode_error;
-            break;
-        }
-    }
-    block_pos_ = 0;
-    block_fill_ = decoded;
-    if (decoded == 0) {
+    if (raw_fill_ == 0) {
         error_ = std::move(pending_error_);
         pending_error_.clear();
         done_ = true;
         return false;
     }
     return true;
+}
+
+std::size_t
+SbbtReader::readColumns(const PacketColumns &out, std::size_t max,
+                        std::uint64_t limit)
+{
+    std::size_t stored = 0;
+    while (stored < max) {
+        if (raw_pos_ == raw_fill_ && !refill())
+            break;
+        const std::size_t count = std::min(max - stored, raw_fill_ - raw_pos_);
+        const std::uint8_t *bytes = raw_.data() + raw_pos_ * kPacketSize;
+        // Local copies: a store through the u8 meta column may alias
+        // anything, so members and `out` would be reloaded every packet.
+        std::uint64_t *ip = out.ip + stored;
+        std::uint64_t *target = out.target + stored;
+        std::uint64_t *instrs = out.instr + stored;
+        std::uint8_t *meta = out.meta + stored;
+        std::uint64_t instr = instr_number_;
+        std::size_t read = 0; // valid packets consumed, stored or not
+        std::size_t kept = count;
+        for (; read < count; ++read) {
+            const PacketWords packet =
+                PacketWords::load(bytes + read * kPacketSize);
+            const PacketFault fault = packet.fault();
+            if (fault != PacketFault::kNone) [[unlikely]] {
+                error_ = packetFaultMessage(fault);
+                done_ = true;
+                kept = read;
+                break;
+            }
+            instr += packet.gap() + 1;
+            if (instr > limit) [[unlikely]] {
+                kept = read;
+                ++read; // read, never stored
+                break;
+            }
+            ip[read] = packet.ip();
+            target[read] = packet.target();
+            instrs[read] = instr;
+            meta[read] = packet.meta();
+        }
+        raw_pos_ += read;
+        branches_read_ += read;
+        instr_number_ = instr;
+        stored += kept;
+        if (kept < count)
+            break;
+    }
+    return stored;
 }
 
 } // namespace mbp::sbbt

@@ -81,8 +81,10 @@ class FlatHashMap
     void
     clear()
     {
+        // Reset the values too: operator[] hands a reused slot back as
+        // the "default-constructed" value of a new key.
         for (auto &slot : slots_)
-            slot.used = false;
+            slot = Slot{};
         size_ = 0;
     }
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * The utilities library is header-only; this translation unit exists so the
- * headers are compiled (and their static_asserts checked) as part of every
- * build.
+ * The utilities library is header-only but for the column allocator;
+ * this translation unit exists so the headers are compiled (and their
+ * static_asserts checked) as part of every build.
  */
 #include "mbp/utils/bits.hpp"
+#include "mbp/utils/column_buffer.hpp"
 #include "mbp/utils/flat_hash_map.hpp"
 #include "mbp/utils/hash.hpp"
 #include "mbp/utils/history.hpp"
+#include "mbp/utils/interner.hpp"
 #include "mbp/utils/lfsr.hpp"
 #include "mbp/utils/sat_counter.hpp"
 

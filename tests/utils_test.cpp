@@ -4,9 +4,11 @@
  * hashes, history registers, folded history, LFSR, flat hash map.
  */
 #include "mbp/utils/bits.hpp"
+#include "mbp/utils/column_buffer.hpp"
 #include "mbp/utils/flat_hash_map.hpp"
 #include "mbp/utils/hash.hpp"
 #include "mbp/utils/history.hpp"
+#include "mbp/utils/interner.hpp"
 #include "mbp/utils/lfsr.hpp"
 #include "mbp/utils/sat_counter.hpp"
 
@@ -342,8 +344,94 @@ TEST(FlatHashMap, ClearKeepsWorking)
     map.clear();
     EXPECT_TRUE(map.empty());
     EXPECT_EQ(map.find(5), nullptr);
+    // A key inserted after clear() starts default-constructed, not with
+    // the value its slot held before.
+    EXPECT_EQ(map[7], 0);
     map[5] = 55;
     EXPECT_EQ(*map.find(5), 55);
+}
+
+TEST(Interner, IdsAreDenseInFirstSeenOrder)
+{
+    // Key 0 is a real key, not the cache's empty marker.
+    util::Interner interner;
+    const std::uint64_t keys[] = {0, 7, 0, 42, 7, 7, 99, 0};
+    std::uint32_t ids[8];
+    ASSERT_TRUE(interner.intern(keys, ids, 8));
+    const std::uint32_t want[] = {0, 1, 0, 2, 1, 1, 3, 0};
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(ids[i], want[i]) << i;
+    EXPECT_EQ(interner.keys(), (std::vector<std::uint64_t>{0, 7, 42, 99}));
+}
+
+TEST(Interner, CacheCollisionsMatchAMap)
+{
+    // Keys that share one direct-mapped entry evict each other on every
+    // lookup; ids must still come from the map, identical to std::map.
+    std::vector<std::uint64_t> colliding;
+    const std::size_t entry = util::Interner::cacheIndex(0x1000);
+    for (std::uint64_t k = 0x1000; colliding.size() < 6; ++k) {
+        if (util::Interner::cacheIndex(k) == entry)
+            colliding.push_back(k);
+    }
+    std::mt19937_64 rng(11);
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 50000; ++i)
+        keys.push_back(i % 2 != 0 ? colliding[rng() % colliding.size()]
+                                  : rng() % 20000);
+    std::vector<std::uint32_t> ids(keys.size());
+    util::Interner interner;
+    // Uneven chunks: state carries across calls.
+    for (std::size_t at = 0; at < keys.size();) {
+        const std::size_t n = std::min<std::size_t>(1 + at % 977,
+                                                    keys.size() - at);
+        ASSERT_TRUE(interner.intern(keys.data() + at, ids.data() + at, n));
+        at += n;
+    }
+    std::map<std::uint64_t, std::uint32_t> reference;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        auto [it, fresh] = reference.emplace(
+            keys[i], static_cast<std::uint32_t>(reference.size()));
+        ASSERT_EQ(ids[i], it->second) << i;
+        if (fresh) {
+            ASSERT_EQ(interner.keys()[it->second], keys[i]);
+        }
+    }
+    EXPECT_EQ(interner.size(), reference.size());
+}
+
+TEST(Column, SmallColumnsUseTheHeapLargeOnesAMapping)
+{
+    util::Column<std::uint64_t> small;
+    small.reserve(1000, 0);
+    EXPECT_FALSE(small.mapped());
+    EXPECT_EQ(small.reservedBytes(), 8000u);
+
+    util::Column<std::uint64_t> large;
+    const std::size_t n = util::kHugePageBytes / 8 + 3;
+    large.reserve(n, 0);
+    ASSERT_TRUE(large.mapped());
+    EXPECT_GE(large.reservedBytes(), n * 8);
+    // Rounded to small pages only: never a whole extra huge page.
+    EXPECT_LT(large.reservedBytes(), n * 8 + 65536);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(large.data()) %
+                  util::kHugePageBytes,
+              0u);
+    for (std::size_t i = 0; i < n; ++i)
+        large.data()[i] = i * 3;
+
+    // Growing keeps the prefix, from heap to mapping and mapping to
+    // mapping alike.
+    small.data()[999] = 5;
+    small.reserve(n, 1000);
+    EXPECT_TRUE(small.mapped());
+    EXPECT_EQ(small.data()[999], 5u);
+    large.reserve(2 * n, n);
+    EXPECT_EQ(large.capacity(), 2 * n);
+    for (std::size_t i = 0; i < n; i += 4099)
+        ASSERT_EQ(large.data()[i], i * 3);
+    large.reserve(n, n); // no-op: already larger
+    EXPECT_EQ(large.capacity(), 2 * n);
 }
 
 TEST(Hash, Mix64AvalanchesLowBits)
