@@ -365,7 +365,7 @@ BM_MemTraceReplay(benchmark::State &state)
         std::uint64_t sum = 0;
         while (source.next(block)) {
             for (std::size_t i = 0; i < block.size; ++i)
-                sum += block.ip[i] ^ block.meta[i];
+                sum += block.ip(i) ^ block.meta[i];
         }
         branches = source.branches();
         benchmark::DoNotOptimize(sum);

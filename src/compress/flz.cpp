@@ -168,15 +168,27 @@ flzCompressBlock(const std::uint8_t *src, std::size_t src_size,
     return static_cast<std::size_t>(dst - dst_start);
 }
 
+namespace
+{
+
+/**
+ * Walks the sequences of a compressed block from @p cursor on, checking
+ * every token, length and offset against @p dst_size, until @p want
+ * output bytes are reached or the input ends. kWrite copies the bytes
+ * into @p dst; without it nothing is written (validation).
+ *
+ * @return False on a malformed sequence; @p cursor then is unspecified.
+ */
+template <bool kWrite>
 bool
-flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
-                   std::uint8_t *dst, std::size_t dst_size, bool wide)
+walkBlock(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
+          std::size_t dst_size, std::size_t want, FlzCursor &cursor,
+          bool wide)
 {
     const std::size_t offset_bytes = wide ? 3 : 2;
-    const std::uint8_t *sp = src;
+    const std::uint8_t *sp = src + cursor.src;
     const std::uint8_t *const send = src + src_size;
-    std::uint8_t *dp = dst;
-    std::uint8_t *const dend = dst + dst_size;
+    std::size_t dp = cursor.dst;
 
     auto readRun = [&](std::size_t base) -> std::size_t {
         std::size_t len = base;
@@ -192,16 +204,17 @@ flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
         return len;
     };
 
-    while (sp < send) {
+    while (sp < send && dp < want) {
         std::uint8_t token = *sp++;
         // Literals.
         std::size_t lit_len = readRun(token >> 4);
         if (lit_len == SIZE_MAX)
             return false;
         if (lit_len > static_cast<std::size_t>(send - sp) ||
-            lit_len > static_cast<std::size_t>(dend - dp))
+            lit_len > dst_size - dp)
             return false;
-        std::memcpy(dp, sp, lit_len);
+        if constexpr (kWrite)
+            std::memcpy(dst + dp, sp, lit_len);
         sp += lit_len;
         dp += lit_len;
         if (sp == send)
@@ -213,21 +226,57 @@ flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
         if (wide)
             offset |= std::size_t(sp[2]) << 16;
         sp += offset_bytes;
-        if (offset == 0 || offset > static_cast<std::size_t>(dp - dst))
+        if (offset == 0 || offset > dp)
             return false;
         std::size_t match_len = readRun(token & 0x0f);
         if (match_len == SIZE_MAX)
             return false;
         match_len += kMinMatch;
-        if (match_len > static_cast<std::size_t>(dend - dp))
+        if (match_len > dst_size - dp)
             return false;
-        const std::uint8_t *ref = dp - offset;
-        // Byte-by-byte copy handles overlapping matches (RLE-style).
-        for (std::size_t i = 0; i < match_len; ++i)
-            dp[i] = ref[i];
+        if constexpr (kWrite) {
+            std::uint8_t *out = dst + dp;
+            const std::uint8_t *ref = out - offset;
+            // Byte-by-byte copy handles overlapping matches (RLE-style).
+            for (std::size_t i = 0; i < match_len; ++i)
+                out[i] = ref[i];
+        }
         dp += match_len;
     }
-    return dp == dend;
+    cursor.src = static_cast<std::size_t>(sp - src);
+    cursor.dst = dp;
+    return true;
+}
+
+} // namespace
+
+bool
+flzValidateBlock(const std::uint8_t *src, std::size_t src_size,
+                 std::size_t dst_size, bool wide)
+{
+    FlzCursor cursor;
+    return walkBlock<false>(src, src_size, nullptr, dst_size, SIZE_MAX,
+                            cursor, wide) &&
+           cursor.dst == dst_size;
+}
+
+void
+flzDecodeValidated(const std::uint8_t *src, std::size_t src_size,
+                   std::uint8_t *dst, std::size_t dst_size, std::size_t want,
+                   FlzCursor &cursor, bool wide)
+{
+    walkBlock<true>(src, src_size, dst, dst_size, want, cursor, wide);
+}
+
+bool
+flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
+                   std::uint8_t *dst, std::size_t dst_size, bool wide)
+{
+    if (!flzValidateBlock(src, src_size, dst_size, wide))
+        return false;
+    FlzCursor cursor;
+    flzDecodeValidated(src, src_size, dst, dst_size, dst_size, cursor, wide);
+    return true;
 }
 
 std::vector<std::uint8_t>

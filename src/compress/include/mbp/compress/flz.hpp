@@ -70,7 +70,35 @@ std::size_t flzCompressBlock(const std::uint8_t *src, std::size_t src_size,
                              bool wide = false);
 
 /**
- * Decompresses one block produced by flzCompressBlock.
+ * Checks a compressed block without writing a byte: every token, length
+ * and offset, and that it decodes to exactly @p dst_size bytes. A block
+ * that passes decodes with flzDecodeValidated() in any number of steps,
+ * so a reader can fail a corrupt block before handing out its first
+ * byte and still decode only as far as it reads.
+ */
+bool flzValidateBlock(const std::uint8_t *src, std::size_t src_size,
+                      std::size_t dst_size, bool wide = false);
+
+/** How far a resumable decode of one block has come. */
+struct FlzCursor
+{
+    std::size_t src = 0; //!< compressed bytes consumed
+    std::size_t dst = 0; //!< decompressed bytes written
+};
+
+/**
+ * Decodes whole sequences of a block that flzValidateBlock() accepted,
+ * from @p cursor on, until at least @p want bytes of @p dst (of
+ * @p dst_size) are written or the block ends; advances @p cursor.
+ */
+void flzDecodeValidated(const std::uint8_t *src, std::size_t src_size,
+                        std::uint8_t *dst, std::size_t dst_size,
+                        std::size_t want, FlzCursor &cursor,
+                        bool wide = false);
+
+/**
+ * Decompresses one block produced by flzCompressBlock
+ * (flzValidateBlock() then flzDecodeValidated() to the end).
  *
  * @param src      Compressed bytes.
  * @param src_size Compressed size.

@@ -246,10 +246,14 @@ class FlzSource : public ByteSource
         auto *out = static_cast<std::uint8_t *>(dst);
         std::size_t total = 0;
         while (total < size && !failed_ && !done_) {
-            if (pos_ == raw_.size() && !nextBlock())
+            if (pos_ == raw_size_ && !nextBlock())
                 break;
-            std::size_t n = std::min(size - total, raw_.size() - pos_);
-            std::memcpy(out + total, raw_.data() + pos_, n);
+            if (pos_ == cursor_.dst) // decode only as far as this read
+                flzDecodeValidated(comp_.data(), comp_.size(), raw_.get(),
+                                   raw_size_, pos_ + (size - total),
+                                   cursor_, wide_);
+            std::size_t n = std::min(size - total, cursor_.dst - pos_);
+            std::memcpy(out + total, raw_.get() + pos_, n);
             pos_ += n;
             total += n;
         }
@@ -302,20 +306,30 @@ class FlzSource : public ByteSource
             failed_ = true;
             return false;
         }
-        raw_.resize(raw_size);
+        if (raw_size > raw_capacity_) {
+            // Not value-initialized: a block's bytes are written before
+            // they are read, and pages nobody reads are never touched.
+            raw_ = std::make_unique_for_overwrite<std::uint8_t[]>(raw_size);
+            raw_capacity_ = raw_size;
+        }
+        raw_size_ = raw_size;
         pos_ = 0;
+        cursor_ = {};
         if (comp_size == 0) {
             // Stored block.
-            if (!readAll(raw_.data(), raw_size)) {
+            if (!readAll(raw_.get(), raw_size)) {
                 failed_ = true;
                 return false;
             }
+            cursor_ = {0, raw_size};
             return true;
         }
+        // The whole token stream is checked up front, so a corrupt block
+        // fails before its first byte; read() then decodes it lazily, so
+        // a header peek does not pay for a whole 8 MiB block.
         comp_.resize(comp_size);
         if (!readAll(comp_.data(), comp_size) ||
-            !flzDecompressBlock(comp_.data(), comp_size, raw_.data(),
-                                raw_size, wide_)) {
+            !flzValidateBlock(comp_.data(), comp_size, raw_size, wide_)) {
             failed_ = true;
             return false;
         }
@@ -323,7 +337,10 @@ class FlzSource : public ByteSource
     }
 
     std::unique_ptr<ByteSource> inner_;
-    std::vector<std::uint8_t> raw_;
+    std::unique_ptr<std::uint8_t[]> raw_;
+    std::size_t raw_capacity_ = 0;
+    std::size_t raw_size_ = 0; // bytes in the current block
+    FlzCursor cursor_;         // raw_[0, cursor_.dst) is decoded
     std::vector<std::uint8_t> comp_;
     std::size_t pos_ = 0;
     bool wide_ = false;

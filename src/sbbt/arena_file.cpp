@@ -255,7 +255,7 @@ decodeArenaHeader(const std::uint8_t *bytes, std::size_t available,
 
     const std::uint64_t n = out.trace.branch_count;
     const std::uint64_t expected_counts[kArenaColumnCount] = {
-        n, n, n, n, n, (n + 63) / 64, out.num_sites, out.num_sites};
+        n, n, n, n, (n + 63) / 64, out.num_sites, out.num_sites};
     for (std::size_t c = 0; c < kArenaColumnCount; ++c) {
         ArenaHeader::Column &col = out.columns[c];
         col.offset = decode64(bytes + kOffColumns + 16 * c);

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -73,6 +74,42 @@ fail(std::string *error, const std::string &message)
     return false;
 }
 
+/**
+ * The verify pass of a mapped sidecar: the payload checksum, and in the
+ * same pass, chunk by chunk while the bytes are in cache, a check that
+ * every site id is below num_sites — the one column whose values index
+ * another, so a kernel reading site_ips[site[i]] stays in bounds.
+ *
+ * @return The payload checksum; @p sites_ok is cleared on a bad id.
+ */
+std::uint64_t
+verifyPayload(const std::uint8_t *bytes, const ArenaHeader &header,
+              bool &sites_ok)
+{
+    const ArenaHeader::Column &col = header.columns[kColSiteIndex];
+    const std::uint8_t *sites = bytes + col.offset;
+    const std::uint8_t *end = bytes + header.file_bytes;
+    ContentHasher hasher;
+    hasher.update(bytes + kArenaHeaderSize,
+                  static_cast<std::size_t>(sites - bytes) - kArenaHeaderSize);
+    constexpr std::size_t kChunk = 4096; // ids per chunk: 16 KiB, in L1d
+    std::uint32_t max_id = 0;
+    for (std::uint64_t done = 0; done < col.count; done += kChunk) {
+        const std::size_t ids =
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                kChunk, col.count - done));
+        const auto *chunk = reinterpret_cast<const std::uint32_t *>(
+            sites + done * sizeof(std::uint32_t));
+        hasher.update(chunk, ids * sizeof(std::uint32_t));
+        for (std::size_t i = 0; i < ids; ++i)
+            max_id = std::max(max_id, chunk[i]);
+    }
+    sites_ok = col.count == 0 || max_id < header.num_sites;
+    const std::uint8_t *rest = sites + col.count * sizeof(std::uint32_t);
+    hasher.update(rest, static_cast<std::size_t>(end - rest));
+    return hasher.digest();
+}
+
 /** One column's source bytes during a writeArena() pass. */
 struct ColumnBytes
 {
@@ -101,7 +138,6 @@ MemTrace::writeArena(const std::string &path, std::uint64_t source_hash,
         return fail(error, "SBBT-A requires a little-endian host");
     const std::uint64_t n = size_;
     const ColumnBytes columns[kArenaColumnCount] = {
-        {ips_p_, n, 8},
         {targets_p_, n, 8},
         {instr_nums_p_, n, 8},
         {meta_p_, n, 1},
@@ -207,10 +243,13 @@ MemTrace::mapFile(const std::string &path, std::string *error,
     ArenaHeader header;
     if (!decodeArenaHeader(bytes, length, length, header, error))
         return nullptr;
-    if (contentHash64(bytes + kArenaHeaderSize,
-                      length - kArenaHeaderSize) !=
-        header.payload_checksum) {
+    bool sites_ok = true;
+    if (verifyPayload(bytes, header, sites_ok) != header.payload_checksum) {
         fail(error, "SBBT-A payload checksum mismatch (corrupt sidecar)");
+        return nullptr;
+    }
+    if (!sites_ok) {
+        fail(error, "SBBT-A site id out of range (corrupt sidecar)");
         return nullptr;
     }
 
@@ -226,8 +265,6 @@ MemTrace::mapFile(const std::string &path, std::string *error,
     };
     // decodeArenaHeader bounds-checked every range and kArenaAlign-checked
     // every offset, so these reinterpretations are aligned and in-bounds.
-    trace->ips_p_ =
-        reinterpret_cast<const std::uint64_t *>(column(kColIps));
     trace->targets_p_ =
         reinterpret_cast<const std::uint64_t *>(column(kColTargets));
     trace->instr_nums_p_ =

@@ -22,7 +22,6 @@ struct BlockSource::Decoder
     }
 
     ColumnDecoder columns;
-    std::array<std::uint64_t, kBlockBranches> ip;
     std::array<std::uint64_t, kBlockBranches> target;
     std::array<std::uint64_t, kBlockBranches> instr;
     std::array<std::uint8_t, kBlockBranches> meta;
@@ -84,8 +83,8 @@ BlockSource::nextSlice(Block &out)
     }
     const MemTrace &t = *arena_;
     const std::size_t end = std::min(pos_ + kBlockBranches, stop_);
-    out = Block{t.ipData() + pos_,        t.targetData() + pos_,
-                t.instrNumData() + pos_,  t.metaData() + pos_,
+    out = Block{site_ips_,               t.targetData() + pos_,
+                t.instrNumData() + pos_, t.metaData() + pos_,
                 t.siteIndexData() + pos_, end - pos_};
     branches_ += end - pos_;
     pos_ = end;
@@ -97,8 +96,7 @@ BlockSource::nextDecoded(Block &out)
 {
     Decoder &d = *decoder_;
     const std::size_t n = d.columns.decode(
-        {d.ip.data(), d.target.data(), d.instr.data(), d.meta.data(),
-         d.site.data()},
+        {d.target.data(), d.instr.data(), d.meta.data(), d.site.data()},
         kBlockBranches, limit_);
     const SbbtReader &reader = d.columns.reader();
     last_instr_ = reader.instrNumber();
@@ -110,7 +108,7 @@ BlockSource::nextDecoded(Block &out)
     branches_ += n;
     site_ips_ = d.columns.sites().keys().data();
     num_sites_ = static_cast<std::uint32_t>(d.columns.sites().size());
-    out = Block{d.ip.data(),   d.target.data(), d.instr.data(),
+    out = Block{site_ips_,     d.target.data(), d.instr.data(),
                 d.meta.data(), d.site.data(),   n};
     return n > 0;
 }

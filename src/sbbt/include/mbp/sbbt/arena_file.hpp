@@ -1,6 +1,6 @@
 /**
  * @file
- * SBBT-A v1: the mmap-native on-disk serialization of sbbt::MemTrace.
+ * SBBT-A v2: the mmap-native on-disk serialization of sbbt::MemTrace.
  *
  * An SBBT trace is optimized for *size* (compressed 128-bit packets, paper
  * Table I); the decode-once arena (mbp/sbbt/mem_trace.hpp) is optimized
@@ -32,19 +32,23 @@
  *       80      8  u64 header_checksum     (contentHash64 of bytes
  *                                           [0, header_bytes) with this
  *                                           field zeroed)
- *       88    128  column table: 8 x { u64 offset, u64 element count }
- *      216     40  zero padding
+ *       88    112  column table: 7 x { u64 offset, u64 element count }
+ *      200     56  zero padding
  *      256      —  column payload, each column 64-byte-aligned
  *
  * Column order (fixed; element types match the MemTrace accessors):
- *   0 ips            u64 x branch_count
- *   1 targets        u64 x branch_count
- *   2 instr_nums     u64 x branch_count    (cumulative, 1-based)
- *   3 meta           u8  x branch_count    (bits 0-3 opcode, bit 4 taken)
- *   4 site_index     u32 x branch_count    (dense first-seen site ids)
- *   5 first_seen     u64 x ceil(branch_count / 64)   (new-site bitmap)
- *   6 site_ips       u64 x num_sites
- *   7 site_cond_occ  u64 x num_sites
+ *   0 targets        u64 x branch_count
+ *   1 instr_nums     u64 x branch_count    (cumulative, 1-based)
+ *   2 meta           u8  x branch_count    (bits 0-3 opcode, bit 4 taken)
+ *   3 site_index     u32 x branch_count    (dense first-seen site ids,
+ *                                           each < num_sites)
+ *   4 first_seen     u64 x ceil(branch_count / 64)   (new-site bitmap)
+ *   5 site_ips       u64 x num_sites       (site id -> branch address)
+ *   6 site_cond_occ  u64 x num_sites
+ *
+ * A branch's address is stored once, in site_ips: branch i's address is
+ * site_ips[site_index[i]]. (v1 also stored it per branch, in an ips
+ * column ahead of targets; v1 files fail the version check.)
  *
  * Versioning policy: the major format version is this single u32. Any
  * layout change — new columns, reordered columns, different checksum —
@@ -55,7 +59,9 @@
  * MemTrace::mapFile() with an error, never crash: the header checksum
  * guards the metadata, the column table is bounds-checked against
  * file_bytes before any column pointer is formed, and the payload
- * checksum guards the column bytes themselves.
+ * checksum guards the column bytes themselves. The site ids are the
+ * one column whose values index another, so the verify pass also checks
+ * every one of them against num_sites before a kernel can use it.
  */
 #ifndef MBP_SBBT_ARENA_FILE_HPP
 #define MBP_SBBT_ARENA_FILE_HPP
@@ -73,26 +79,25 @@ namespace mbp::sbbt
 inline constexpr char kArenaMagic[8] = {'S', 'B', 'B', 'T',
                                         '-', 'A', '\n', '\0'};
 /** Current (and only) SBBT-A format version. */
-inline constexpr std::uint32_t kArenaFormatVersion = 1;
+inline constexpr std::uint32_t kArenaFormatVersion = 2;
 /** Serialized header size; the column payload starts here. */
 inline constexpr std::size_t kArenaHeaderSize = 256;
 /** Alignment of every column's file offset (and so of its mapped
  *  address, since mmap returns page-aligned bases). */
 inline constexpr std::size_t kArenaAlign = 64;
 /** Number of columns in the fixed column table. */
-inline constexpr std::size_t kArenaColumnCount = 8;
+inline constexpr std::size_t kArenaColumnCount = 7;
 
 /** Column-table indices, in payload order. */
 enum ArenaColumn : std::size_t
 {
-    kColIps = 0,
-    kColTargets = 1,
-    kColInstrNums = 2,
-    kColMeta = 3,
-    kColSiteIndex = 4,
-    kColFirstSeen = 5,
-    kColSiteIps = 6,
-    kColSiteCondOcc = 7,
+    kColTargets = 0,
+    kColInstrNums = 1,
+    kColMeta = 2,
+    kColSiteIndex = 3,
+    kColFirstSeen = 4,
+    kColSiteIps = 5,
+    kColSiteCondOcc = 6,
 };
 
 /** Decoded SBBT-A header. */
@@ -133,6 +138,10 @@ encodeArenaHeader(const ArenaHeader &header);
  * [kArenaHeaderSize, file_bytes) and an element count consistent with
  * branch_count / num_sites. The payload checksum is NOT verified here —
  * the caller owns that pass (it needs the whole payload mapped).
+ *
+ * Once the magic matches, @p out.version holds the file's format version
+ * even when that version is rejected, so tooling can tell an outdated
+ * sidecar from a corrupt one.
  *
  * @param bytes      At least @p available bytes of the file's head.
  * @param available  Bytes readable at @p bytes.

@@ -4,9 +4,11 @@
  * reads.
  *
  * A BlockSource hands out a trace as consecutive blocks of up to
- * kBlockBranches branches, each a set of column pointers (ip, target,
- * instruction number, packed opcode+outcome, dense site id). The blocks
- * come from one of two places:
+ * kBlockBranches branches, each a set of column pointers (target,
+ * instruction number, packed opcode+outcome, dense site id) plus the site
+ * table that maps a site id to its branch address. A branch's address is
+ * stored once, per site: ip(i) is site_ips[site[i]]. The blocks come from
+ * one of two places:
  *
  *  - a resident arena (sbbt::MemTrace, decoded or SBBT-A-mapped): the
  *    blocks are zero-copy slices of its columns;
@@ -53,7 +55,8 @@ inline constexpr std::size_t kBlockBranches = 4096;
 /** Columns of @p size consecutive branches (views; never owning). */
 struct Block
 {
-    const std::uint64_t *ip = nullptr;
+    /** Site id -> branch address; covers every id in site[]. */
+    const std::uint64_t *site_ips = nullptr;
     const std::uint64_t *target = nullptr;
     /** 1-based cumulative instruction number (SbbtReader convention). */
     const std::uint64_t *instr = nullptr;
@@ -62,11 +65,14 @@ struct Block
     const std::uint32_t *site = nullptr;
     std::size_t size = 0;
 
+    /** @return Address of branch @p i. */
+    std::uint64_t ip(std::size_t i) const { return site_ips[site[i]]; }
+
     /** @return Branch @p i rebuilt from the columns. */
     Branch
     branch(std::size_t i) const
     {
-        return Branch{ip[i], target[i], OpCode(meta[i] & 0x0f),
+        return Branch{ip(i), target[i], OpCode(meta[i] & 0x0f),
                       (meta[i] & kMetaTaken) != 0};
     }
 };

@@ -38,10 +38,12 @@ namespace mbp::sbbt
 /**
  * An immutable, fully decoded SBBT trace resident in memory.
  *
- * Layout is struct-of-arrays: branch IPs, targets, a packed
- * opcode+outcome byte and the 1-based cumulative instruction number of
- * every branch. Instruction gaps are not stored — they are the
- * differences of consecutive instruction numbers — so the arena costs
+ * Layout is struct-of-arrays: per branch a target, a packed
+ * opcode+outcome byte, the 1-based cumulative instruction number and a
+ * dense site id; per site the branch address. A branch's address is
+ * stored once, per site — ip(i) is the site table's entry for branch
+ * i's site id — and instruction gaps are not stored at all (they are the
+ * differences of consecutive instruction numbers), so the arena costs
  * kBytesPerBranch per branch regardless of the on-disk codec.
  *
  * The columns are exposed as raw pointers and owned in one of two ways:
@@ -58,13 +60,15 @@ class MemTrace
 {
   public:
     /**
-     * Arena bytes consumed per branch (ip + target + instr number + meta
-     * + dense site index). The site-index column is what lets the fused
+     * Arena bytes consumed per branch (target + instr number + meta +
+     * dense site index). The site-index column is what lets the fused
      * simulation kernels (mbp/sim/kernels.hpp) replace every per-branch
      * hash lookup with an array access: the hashing is paid once here, at
-     * decode, instead of once per (branch x predictor x run).
+     * decode, instead of once per (branch x predictor x run). It also
+     * names the branch's address in the per-site table, so no per-branch
+     * address column is kept.
      */
-    static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 8 + 1 + 4;
+    static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 1 + 4;
 
     /**
      * Decodes the whole trace at @p path in one streaming pass, with the
@@ -114,9 +118,10 @@ class MemTrace
      * Maps the SBBT-A sidecar at @p path read-only and borrows its
      * columns with zero copies (mbp/sbbt/arena_file.hpp). The header is
      * validated (magic, version, checksums, column bounds) and the
-     * payload checksum verified before any column is trusted; corrupt,
-     * truncated or version-mismatched files fail the map — callers fall
-     * back to load() on the source trace.
+     * payload checksum verified — with every site id checked against the
+     * site table in the same pass — before any column is trusted;
+     * corrupt, truncated or version-mismatched files fail the map —
+     * callers fall back to load() on the source trace.
      *
      * @param path        SBBT-A file to map.
      * @param error       Receives the failure description (optional).
@@ -165,7 +170,10 @@ class MemTrace
     double loadSeconds() const { return load_seconds_; }
 
     // Per-branch row accessors (i < size()).
-    std::uint64_t ip(std::size_t i) const { return ips_p_[i]; }
+    std::uint64_t ip(std::size_t i) const
+    {
+        return site_ips_p_[site_index_p_[i]];
+    }
     std::uint64_t target(std::size_t i) const { return targets_p_[i]; }
     OpCode opcode(std::size_t i) const { return OpCode(meta_p_[i] & 0xf); }
     bool taken(std::size_t i) const { return (meta_p_[i] & 0x10) != 0; }
@@ -190,7 +198,6 @@ class MemTrace
     // address, and each site's conditional executions over the whole
     // trace, precomputed at decode so a full-trace collect_most_failed
     // run reads its occurrence totals instead of counting them.
-    const std::uint64_t *ipData() const { return ips_p_; }
     const std::uint64_t *targetData() const { return targets_p_; }
     const std::uint64_t *instrNumData() const { return instr_nums_p_; }
     const std::uint8_t *metaData() const { return meta_p_; }
@@ -221,7 +228,6 @@ class MemTrace
     // Column views — the only pointers the accessors and block sources
     // read. They alias either the owned columns below (load())
     // or an ArenaMapping (mapFile()).
-    const std::uint64_t *ips_p_ = nullptr;
     const std::uint64_t *targets_p_ = nullptr;
     const std::uint64_t *instr_nums_p_ = nullptr; // cumulative, 1-based
     const std::uint8_t *meta_p_ = nullptr; // bits 0-3 opcode, bit 4 outcome

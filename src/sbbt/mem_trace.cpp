@@ -16,7 +16,6 @@ namespace mbp::sbbt
 struct MemTrace::OwnedColumns
 {
     // Per branch: written once, in place, by the column decoder.
-    util::Column<std::uint64_t> ips;
     util::Column<std::uint64_t> targets;
     util::Column<std::uint64_t> instr_nums;
     util::Column<std::uint8_t> meta;
@@ -26,13 +25,12 @@ struct MemTrace::OwnedColumns
     std::vector<std::uint64_t> site_ips;
     std::vector<std::uint64_t> site_cond_occ;
 
-    std::size_t capacity() const { return ips.capacity(); }
+    std::size_t capacity() const { return targets.capacity(); }
 
     /** Grows every per-branch column to @p rows, keeping @p keep. */
     void
     reserve(std::size_t rows, std::size_t keep)
     {
-        ips.reserve(rows, keep);
         targets.reserve(rows, keep);
         instr_nums.reserve(rows, keep);
         meta.reserve(rows, keep);
@@ -44,15 +42,14 @@ struct MemTrace::OwnedColumns
     BlockColumns
     at(std::size_t row)
     {
-        return {ips.data() + row, targets.data() + row,
-                instr_nums.data() + row, meta.data() + row,
-                site_index.data() + row};
+        return {targets.data() + row, instr_nums.data() + row,
+                meta.data() + row, site_index.data() + row};
     }
 
     std::uint64_t
     bytes() const
     {
-        return ips.reservedBytes() + targets.reservedBytes() +
+        return targets.reservedBytes() +
                instr_nums.reservedBytes() + meta.reservedBytes() +
                site_index.reservedBytes() +
                first_seen.capacity() * sizeof(std::uint64_t) +
@@ -139,7 +136,6 @@ MemTrace::adoptOwnedColumns(std::shared_ptr<const OwnedColumns> owned,
 {
     owned_ = std::move(owned);
     const OwnedColumns &c = *owned_;
-    ips_p_ = c.ips.data();
     targets_p_ = c.targets.data();
     instr_nums_p_ = c.instr_nums.data();
     meta_p_ = c.meta.data();
@@ -173,7 +169,8 @@ std::uint64_t
 MemTrace::estimateFileBytes(const std::string &path)
 {
     // The SbbtReader constructor parses only the header, so this peek
-    // costs one small read even on multi-gigabyte compressed traces.
+    // costs one small read even on multi-gigabyte compressed traces (an
+    // FLZ first block is validated whole but decoded only that far).
     SbbtReader reader(path, ReaderOptions{.block_packets = 1,
                                          .prefetch = false});
     if (!reader.ok())

@@ -217,7 +217,7 @@ inline void
 fusedRange(P &predictor, const SimArgs &args, const sbbt::Block &block,
            std::size_t begin, std::size_t end, FusedRunState &state)
 {
-    const std::uint64_t *ips = block.ip;
+    const std::uint64_t *site_ips = block.site_ips;
     const std::uint64_t *targets = block.target;
     const std::uint64_t *instr = block.instr;
     const std::uint8_t *meta = block.meta;
@@ -237,14 +237,17 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::Block &block,
         const std::uint8_t m = meta[i];
         if ((m & sbbt::kMetaConditional) != 0) {
             const bool taken = (m & sbbt::kMetaTaken) != 0;
+            // The address, through the site table (the fold path never
+            // needs it); read once, as a call may force a reload.
+            [[maybe_unused]] const std::uint64_t ip = site_ips[sites[i]];
             bool guess;
             if constexpr (kSiteFold)
                 guess = predictor.fusedStepFolded(site_fold[sites[i]],
                                                   taken);
             else if constexpr (kFusedStep)
-                guess = predictor.fusedStep(ips[i], taken);
+                guess = predictor.fusedStep(ip, taken);
             else
-                guess = boundPredict(predictor, ips[i]);
+                guess = boundPredict(predictor, ip);
             if constexpr (kHook)
                 args.prediction_hook(block.branch(i), guess, instr[i],
                                      kMeasured, 0);
@@ -256,7 +259,7 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::Block &block,
                     site_mis[sites[i]] += miss ? 1 : 0;
             }
             if constexpr (!kFusedStep) {
-                const Branch b{ips[i], targets[i], OpCode(m & 0x0f), taken};
+                const Branch b{ip, targets[i], OpCode(m & 0x0f), taken};
                 boundTrain(predictor, b);
                 boundTrack(predictor, b); // conditionals: always
             }
@@ -446,7 +449,8 @@ class FusedKernel final : public BlockKernel
              std::uint8_t *guesses) override
     {
         P &p = *predictor_;
-        const std::uint64_t *ips = block.ip;
+        const std::uint64_t *site_ips = block.site_ips;
+        const std::uint32_t *sites = block.site;
         const std::uint8_t *meta = block.meta;
         const std::size_t end = block.size;
         for (std::size_t i = 0; i < end; ++i) {
@@ -455,7 +459,8 @@ class FusedKernel final : public BlockKernel
                 if (ahead < end) {
                     const void *hints[kKernelMaxPrefetchHints];
                     const std::size_t n = p.prefetchHints(
-                        ips[ahead], std::span<const void *>(hints));
+                        site_ips[sites[ahead]],
+                        std::span<const void *>(hints));
                     for (std::size_t h = 0; h < n; ++h)
                         detail::prefetchLine(hints[h]);
                 }
@@ -463,12 +468,14 @@ class FusedKernel final : public BlockKernel
             const std::uint8_t m = meta[i];
             if ((m & sbbt::kMetaConditional) != 0) {
                 const bool taken = (m & sbbt::kMetaTaken) != 0;
+                const std::uint64_t ip = site_ips[sites[i]];
                 bool guess;
                 if constexpr (KernelFusedStep<P>) {
-                    guess = p.fusedStep(ips[i], taken);
+                    guess = p.fusedStep(ip, taken);
                 } else {
-                    guess = detail::boundPredict(p, ips[i]);
-                    const Branch b = block.branch(i);
+                    guess = detail::boundPredict(p, ip);
+                    const Branch b{ip, block.target[i], OpCode(m & 0x0f),
+                                   taken};
                     detail::boundTrain(p, b);
                     detail::boundTrack(p, b);
                 }

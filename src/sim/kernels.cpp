@@ -75,7 +75,7 @@ accountBlock(const sbbt::Block &block, std::size_t mid, std::size_t n,
                     state.error = detail::kSiteOverflowError;
                     return;
                 }
-                state.row_ips.push_back(block.ip[i]);
+                state.row_ips.push_back(block.ip(i));
                 state.rows.resize(state.rows.size() + stride, 0);
                 slot = static_cast<std::uint32_t>(state.row_ips.size());
             }

@@ -180,6 +180,34 @@ errorCell(const std::string &message)
     return json_t::object({{"error", message}});
 }
 
+/**
+ * @return Why @p result cannot be read as a cell ("" when it can): it
+ *         must be an error document with a string "error", or carry every
+ *         number the aggregate and toCsv() read. A predictor's run_fused
+ *         may return any document.
+ */
+std::string
+resultProblem(const json_t &result)
+{
+    if (const json_t *error = result.find("error"))
+        return error->isString() ? "" : "result has a non-string 'error'";
+    const json_t *metrics = result.find("metrics");
+    if (metrics == nullptr)
+        return "result has neither 'error' nor 'metrics'";
+    for (const char *key : {"mpki", "accuracy", "mispredictions",
+                            "branches_per_second", "simulation_time"}) {
+        const json_t *value = metrics->find(key);
+        if (value == nullptr || !value->isNumber())
+            return std::string("result has no numeric metrics.") + key;
+    }
+    const json_t *metadata = result.find("metadata");
+    const json_t *instr =
+        metadata != nullptr ? metadata->find("simulation_instr") : nullptr;
+    if (instr == nullptr || !instr->isNumber())
+        return "result has no numeric metadata.simulation_instr";
+    return "";
+}
+
 /** Per-predictor rollup rows of the aggregate section. */
 struct PredictorRollup
 {
@@ -272,6 +300,8 @@ run(const Campaign &campaign, unsigned jobs)
             {"predictor", spec.name},
             {"trace", trace},
         });
+        if (std::string problem = resultProblem(result); !problem.empty())
+            result = errorCell(problem);
         cell["result"] = std::move(result);
         cell_results[p * num_traces + t] = std::move(cell);
     });
@@ -384,6 +414,14 @@ appendCsvDouble(std::string &out, double v)
     out += buf;
 }
 
+/** @return The string member @p key of @p doc, or "" when absent. */
+std::string
+stringField(const json_t &doc, const char *key)
+{
+    const json_t *value = doc.find(key);
+    return value != nullptr && value->isString() ? value->asString() : "";
+}
+
 } // namespace
 
 std::string
@@ -395,17 +433,21 @@ toCsv(const json_t &result)
     if (cells == nullptr)
         return out;
     for (const json_t &cell : cells->elements()) {
-        appendCsvField(out, cell.find("predictor")->asString());
+        appendCsvField(out, stringField(cell, "predictor"));
         out.push_back(',');
-        appendCsvField(out, cell.find("trace")->asString());
+        appendCsvField(out, stringField(cell, "trace"));
         out.push_back(',');
-        const json_t &doc = *cell.find("result");
-        if (doc.contains("error")) {
+        const json_t *doc_p = cell.find("result");
+        const std::string problem =
+            doc_p != nullptr ? resultProblem(*doc_p) : "cell has no result";
+        if (!problem.empty() || doc_p->contains("error")) {
             out += ",,,,,";
-            appendCsvField(out, doc.find("error")->asString());
+            appendCsvField(out, problem.empty() ? stringField(*doc_p, "error")
+                                                : problem);
             out.push_back('\n');
             continue;
         }
+        const json_t &doc = *doc_p;
         const json_t &metrics = *doc.find("metrics");
         appendCsvDouble(out, metrics.find("mpki")->asDouble());
         out.push_back(',');

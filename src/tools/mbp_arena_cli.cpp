@@ -17,15 +17,21 @@
  *   materialize  one entry per trace: "mapped" (a valid sidecar already
  *                existed), "materialized" (decoded and written now) or
  *                "failed" (trace unreadable/corrupt; "error" says why).
+ *                A sidecar of an older format version is rewritten
+ *                ("materialized").
  *   verify       one entry per trace: "ok", "missing" (no sidecar),
- *                "stale" (sidecar records a different source hash) or
- *                "corrupt" (bad header/checksum). Never writes anything.
- *   list         every sidecar in the store with its header facts.
+ *                "stale" (sidecar records a different source hash),
+ *                "outdated" (an older SBBT-A format version; the next
+ *                materialize or acquire rewrites it) or "corrupt" (bad
+ *                header/checksum). Never writes anything.
+ *   list         every sidecar in the store with its header facts, or
+ *                its status when it is "outdated" or "corrupt".
  *   gc           removes sidecars NOT matching any given trace (all of
- *                them when none is given) plus abandoned temp files.
+ *                them when none is given), outdated sidecars even when
+ *                their trace is given, plus abandoned temp files.
  *
- * Exit status: 0 all entries healthy, 1 some entry failed/corrupt/stale,
- * 2 usage or store errors.
+ * Exit status: 0 all entries healthy, 1 some entry failed/corrupt/stale/
+ * outdated, 2 usage or store errors.
  */
 #include <cstdio>
 #include <cstring>
@@ -57,6 +63,19 @@ usage(const char *prog)
     return 2;
 }
 
+/**
+ * @return Whether the sidecar at @p path is an SBBT-A file of an older
+ *         format version than this build reads (it is rewritten, never
+ *         parsed).
+ */
+bool
+outdated(const std::string &path)
+{
+    mbp::sbbt::ArenaHeader header;
+    return !mbp::sbbt::readArenaHeader(path, header) &&
+           header.version < mbp::sbbt::kArenaFormatVersion;
+}
+
 /** Classifies the sidecar for one source trace; shared by verify. */
 mbp::json_t
 verifyTrace(const mbp::sbbt::ArenaStore &store, const std::string &trace,
@@ -86,7 +105,7 @@ verifyTrace(const mbp::sbbt::ArenaStore &store, const std::string &trace,
     std::uint64_t recorded = 0;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error, &recorded);
     if (mapped == nullptr) {
-        entry["status"] = "corrupt";
+        entry["status"] = outdated(sidecar) ? "outdated" : "corrupt";
         entry["error"] = error;
         healthy = false;
     } else if (recorded != hash) {
@@ -191,7 +210,9 @@ main(int argc, char **argv)
                 entry["file_bytes"] = header.file_bytes;
                 entry["source_hash"] = header.source_hash;
             } else {
-                entry["status"] = "corrupt";
+                entry["status"] =
+                    header.version < sbbt::kArenaFormatVersion ? "outdated"
+                                                               : "corrupt";
                 entry["error"] = error;
                 healthy = false;
             }
@@ -215,7 +236,9 @@ main(int argc, char **argv)
             const std::string name = file.path().filename().string();
             const bool temp = name.rfind(".tmp-", 0) == 0;
             const bool sidecar = file.path().extension() == ".sbbta" &&
-                                 !temp && keep.find(path) == keep.end();
+                                 !temp &&
+                                 (keep.find(path) == keep.end() ||
+                                  outdated(path));
             if (!temp && !sidecar)
                 continue;
             json_t entry = json_t::object(

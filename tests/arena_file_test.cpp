@@ -3,7 +3,8 @@
  * Tests for the SBBT-A zero-decode tier (mbp/sbbt/arena_file.hpp):
  * the content hasher, the on-disk header codec, MemTrace round-trips
  * through writeArena()/mapFile(), the rejection of corrupt / truncated /
- * version-bumped sidecars, and the content-addressed ArenaStore
+ * version-bumped sidecars and of out-of-range site ids, the agreement of
+ * arena, mapped and streamed blocks on every address, and the content-addressed ArenaStore
  * (materialize-once, map-later, graceful fallback, concurrent hammer).
  */
 #include "mbp/sbbt/arena_file.hpp"
@@ -19,6 +20,7 @@
 
 #include "mbp/sbbt/arena_store.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
+#include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
 #include "test_util.hpp"
@@ -86,7 +88,8 @@ expectSameArena(const sbbt::MemTrace &a, const sbbt::MemTrace &b)
     EXPECT_EQ(a.header().instruction_count, b.header().instruction_count);
     EXPECT_EQ(a.header().branch_count, b.header().branch_count);
     const std::size_t n = a.size();
-    EXPECT_EQ(std::memcmp(a.ipData(), b.ipData(), n * 8), 0);
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(a.ip(i), b.ip(i)) << "branch " << i;
     EXPECT_EQ(std::memcmp(a.targetData(), b.targetData(), n * 8), 0);
     EXPECT_EQ(std::memcmp(a.instrNumData(), b.instrNumData(), n * 8), 0);
     EXPECT_EQ(std::memcmp(a.metaData(), b.metaData(), n), 0);
@@ -102,6 +105,44 @@ expectSameArena(const sbbt::MemTrace &a, const sbbt::MemTrace &b)
     for (std::size_t cut : {std::size_t(0), n / 2, n})
         EXPECT_EQ(a.staticSitesInPrefix(cut), b.staticSitesInPrefix(cut))
             << cut;
+}
+
+/**
+ * Sets site id @p row of the sidecar at @p path to @p id and re-seals the
+ * file (payload checksum, then header), so that only the site-id check
+ * can tell it from a healthy sidecar.
+ */
+void
+plantSiteId(const std::string &path, std::size_t row, std::uint32_t id)
+{
+    sbbt::ArenaHeader header;
+    std::string error;
+    ASSERT_TRUE(sbbt::readArenaHeader(path, header, &error)) << error;
+    ASSERT_LT(row, header.columns[sbbt::kColSiteIndex].count);
+    auto bytes = readFileBytes(path);
+    std::memcpy(bytes.data() + header.columns[sbbt::kColSiteIndex].offset +
+                    row * sizeof id,
+                &id, sizeof id);
+    header.payload_checksum =
+        sbbt::contentHash64(bytes.data() + sbbt::kArenaHeaderSize,
+                            bytes.size() - sbbt::kArenaHeaderSize);
+    const auto head = sbbt::encodeArenaHeader(header);
+    std::memcpy(bytes.data(), head.data(), head.size());
+    writeFileBytes(path, bytes);
+}
+
+/** Re-encodes the sidecar header at @p path with format @p version. */
+void
+setArenaVersion(const std::string &path, std::uint32_t version)
+{
+    sbbt::ArenaHeader header;
+    std::string error;
+    ASSERT_TRUE(sbbt::readArenaHeader(path, header, &error)) << error;
+    header.version = version;
+    const auto head = sbbt::encodeArenaHeader(header);
+    auto bytes = readFileBytes(path);
+    std::memcpy(bytes.data(), head.data(), head.size());
+    writeFileBytes(path, bytes);
 }
 
 } // namespace
@@ -242,7 +283,7 @@ TEST_F(ArenaFileTest, CursorStreamsIdenticallyOverMappedArena)
             break;
         ASSERT_EQ(ba.size, bb.size);
         for (std::size_t i = 0; i < ba.size; ++i) {
-            EXPECT_EQ(ba.ip[i], bb.ip[i]);
+            EXPECT_EQ(ba.ip(i), bb.ip(i));
             EXPECT_EQ(ba.target[i], bb.target[i]);
             EXPECT_EQ(ba.meta[i], bb.meta[i]);
             EXPECT_EQ(ba.instr[i], bb.instr[i]);
@@ -329,6 +370,119 @@ TEST_F(ArenaFileTest, FutureFormatVersionIsRejected)
     writeFileBytes(arena_path_, bytes);
     EXPECT_EQ(sbbt::MemTrace::mapFile(arena_path_, &error), nullptr);
     EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
+TEST_F(ArenaFileTest, OutOfRangeSiteIdIsRejected)
+{
+    // A sidecar whose checksums hold but whose site id points past the
+    // site table: a kernel would read site_ips[id] out of bounds.
+    const std::uint32_t sites = decoded_->numSites();
+    ASSERT_GT(decoded_->size(), 100u);
+    const auto original = readFileBytes(arena_path_);
+    for (const std::uint32_t id : {sites, 0xFFFFFF00u}) {
+        writeFileBytes(arena_path_, original);
+        plantSiteId(arena_path_, 100, id);
+        std::string error;
+        EXPECT_EQ(sbbt::MemTrace::mapFile(arena_path_, &error), nullptr)
+            << id;
+        EXPECT_EQ(error, "SBBT-A site id out of range (corrupt sidecar)")
+            << id;
+    }
+    // The largest valid id passes: the check is exactly id < num_sites,
+    // at the first and the last branch too.
+    for (const std::size_t row : {std::size_t{0}, decoded_->size() - 1}) {
+        writeFileBytes(arena_path_, original);
+        plantSiteId(arena_path_, row, sites - 1);
+        std::string error;
+        auto mapped = sbbt::MemTrace::mapFile(arena_path_, &error);
+        ASSERT_NE(mapped, nullptr) << error;
+        EXPECT_EQ(mapped->ip(row), decoded_->siteIpData()[sites - 1]);
+    }
+    writeFileBytes(arena_path_, original);
+    plantSiteId(arena_path_, decoded_->size() - 1, sites);
+    std::string error;
+    EXPECT_EQ(sbbt::MemTrace::mapFile(arena_path_, &error), nullptr);
+}
+
+TEST_F(ArenaFileTest, OlderFormatVersionIsRejected)
+{
+    setArenaVersion(arena_path_, sbbt::kArenaFormatVersion - 1);
+    std::string error;
+    EXPECT_EQ(sbbt::MemTrace::mapFile(arena_path_, &error), nullptr);
+    EXPECT_EQ(error, "unsupported SBBT-A format version");
+    // The version still reads back, so tooling can call it outdated.
+    sbbt::ArenaHeader header;
+    EXPECT_FALSE(sbbt::readArenaHeader(arena_path_, header, &error));
+    EXPECT_EQ(header.version, sbbt::kArenaFormatVersion - 1);
+}
+
+TEST_F(ArenaFileTest, EverySourceDeliversTheSameAddressesAndSites)
+{
+    // Decoded-arena slices, mapped v2 slices and the streaming decoder
+    // must agree on every block: ip(i) read through the site table,
+    // branch(i) and the site ids - with no cut (a partial last block)
+    // and with an instruction-limit cut inside the second block.
+    std::string error;
+    auto mapped = sbbt::MemTrace::mapFile(arena_path_, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+    const std::size_t n = decoded_->size();
+    ASSERT_GT(n, sbbt::kBlockBranches + 100);
+    ASSERT_NE(n % sbbt::kBlockBranches, 0u) << "want a partial last block";
+    const std::size_t cut_row = sbbt::kBlockBranches + 100;
+    for (const std::uint64_t limit :
+         {sbbt::BlockSource::kNoLimit, decoded_->instrNumber(cut_row) - 1}) {
+        sbbt::BlockSource from_arena(decoded_, limit);
+        sbbt::BlockSource from_map(mapped, limit);
+        sbbt::BlockSource from_file(trace_path_, {}, limit);
+        ASSERT_TRUE(from_file.ok()) << from_file.error();
+        sbbt::Block a, m, f;
+        std::size_t row = 0;
+        std::size_t last_size = 0;
+        while (from_arena.next(a)) {
+            ASSERT_TRUE(from_map.next(m));
+            ASSERT_TRUE(from_file.next(f));
+            ASSERT_EQ(a.size, m.size);
+            ASSERT_EQ(a.size, f.size);
+            for (std::size_t i = 0; i < a.size; ++i, ++row) {
+                const Branch want{decoded_->ip(row), decoded_->target(row),
+                                  decoded_->opcode(row),
+                                  decoded_->taken(row)};
+                for (const sbbt::Block *b : {&a, &m, &f}) {
+                    ASSERT_EQ(b->ip(i), want.ip()) << "row " << row;
+                    ASSERT_EQ(b->site[i], a.site[i]) << "row " << row;
+                    ASSERT_EQ(b->branch(i), want) << "row " << row;
+                }
+            }
+            last_size = a.size;
+        }
+        EXPECT_FALSE(from_map.next(m));
+        EXPECT_FALSE(from_file.next(f));
+        EXPECT_EQ(from_file.error(), "");
+        const std::size_t want_rows =
+            limit == sbbt::BlockSource::kNoLimit ? n : cut_row;
+        EXPECT_EQ(row, want_rows);
+        EXPECT_EQ(last_size, (want_rows - 1) % sbbt::kBlockBranches + 1);
+        EXPECT_EQ(from_arena.lastInstr(), from_file.lastInstr());
+        EXPECT_EQ(from_map.lastInstr(), from_file.lastInstr());
+    }
+}
+
+TEST_F(ArenaFileTest, ArenaIpMatchesTheReader)
+{
+    std::string error;
+    auto mapped = sbbt::MemTrace::mapFile(arena_path_, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+    sbbt::SbbtReader reader(trace_path_);
+    sbbt::PacketData packet;
+    std::size_t i = 0;
+    while (reader.next(packet)) {
+        ASSERT_LT(i, decoded_->size());
+        ASSERT_EQ(decoded_->ip(i), packet.branch.ip()) << i;
+        ASSERT_EQ(mapped->ip(i), packet.branch.ip()) << i;
+        ++i;
+    }
+    EXPECT_TRUE(reader.exhausted()) << reader.error();
+    EXPECT_EQ(i, decoded_->size());
 }
 
 TEST_F(ArenaFileTest, BadMagicIsRejected)
@@ -426,6 +580,57 @@ TEST(ArenaStore, CorruptSidecarFallsBackToDecodeAndRewrites)
     auto mapped = store.acquire(trace, {}, &error, &third);
     ASSERT_NE(mapped, nullptr) << error;
     EXPECT_TRUE(third.mapped);
+    std::remove(trace.c_str());
+}
+
+TEST(ArenaStore, OutOfRangeSiteIdSidecarIsRewritten)
+{
+    const std::string trace = writeTrace("store_site.sbbt", 917, 60'000);
+    sbbt::ArenaStore store(freshStoreDir("site"));
+    ASSERT_TRUE(store.ok());
+    std::string error;
+    sbbt::ArenaStore::Info info;
+    auto first = store.acquire(trace, {}, &error, &info);
+    ASSERT_NE(first, nullptr) << error;
+    plantSiteId(info.sidecar, 100, 0xFFFFFF00u);
+
+    sbbt::ArenaStore::Info healed;
+    auto second = store.acquire(trace, {}, &error, &healed);
+    ASSERT_NE(second, nullptr) << error;
+    EXPECT_FALSE(healed.mapped);
+    EXPECT_TRUE(healed.materialized) << "sidecar must be rewritten";
+    EXPECT_EQ(healed.rejected,
+              "SBBT-A site id out of range (corrupt sidecar)");
+    expectSameArena(*first, *second);
+
+    sbbt::ArenaStore::Info third;
+    ASSERT_NE(store.acquire(trace, {}, &error, &third), nullptr) << error;
+    EXPECT_TRUE(third.mapped);
+    std::remove(trace.c_str());
+}
+
+TEST(ArenaStore, OutdatedSidecarIsRewritten)
+{
+    const std::string trace = writeTrace("store_old.sbbt", 918, 60'000);
+    sbbt::ArenaStore store(freshStoreDir("old"));
+    ASSERT_TRUE(store.ok());
+    std::string error;
+    sbbt::ArenaStore::Info info;
+    auto first = store.acquire(trace, {}, &error, &info);
+    ASSERT_NE(first, nullptr) << error;
+    setArenaVersion(info.sidecar, sbbt::kArenaFormatVersion - 1);
+
+    sbbt::ArenaStore::Info healed;
+    auto second = store.acquire(trace, {}, &error, &healed);
+    ASSERT_NE(second, nullptr) << error;
+    EXPECT_FALSE(healed.mapped);
+    EXPECT_TRUE(healed.materialized);
+    EXPECT_EQ(healed.rejected, "unsupported SBBT-A format version");
+    sbbt::ArenaHeader header;
+    ASSERT_TRUE(sbbt::readArenaHeader(info.sidecar, header, &error))
+        << error;
+    EXPECT_EQ(header.version, sbbt::kArenaFormatVersion);
+    expectSameArena(*first, *second);
     std::remove(trace.c_str());
 }
 

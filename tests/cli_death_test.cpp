@@ -1,7 +1,7 @@
 /**
  * @file
  * Exit-code and argv contract tests for the installed binaries (mbp_sim,
- * mbp_sweep, mbp_fuzz, mbp_audit), run as real subprocesses. The
+ * mbp_sweep, mbp_fuzz, mbp_audit, mbp_arena), run as real subprocesses. The
  * documented convention (README "Command-line tools", TESTING.md):
  *
  *   exit 2 — usage errors: bad flag value, unknown flag, unknown
@@ -19,6 +19,7 @@
 #include <string>
 #include <sys/wait.h>
 
+#include "mbp/sbbt/arena_file.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "test_util.hpp"
 
@@ -431,4 +432,95 @@ TEST(ArenaCli, MaterializeHugeHeaderIsUnhealthyExit1)
     auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
                  " materialize " + quoted(hugeHeaderTrace()));
     EXPECT_EQ(r.exit_code, 1) << r.err;
+}
+
+namespace
+{
+
+/** Reads the whole file at @p path ("" when missing). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Re-encodes the header of the sidecar at @p path with @p version. */
+void
+setSidecarVersion(const std::string &path, std::uint32_t version)
+{
+    mbp::sbbt::ArenaHeader header;
+    std::string error;
+    ASSERT_TRUE(mbp::sbbt::readArenaHeader(path, header, &error)) << error;
+    header.version = version;
+    const auto head = mbp::sbbt::encodeArenaHeader(header);
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.write(reinterpret_cast<const char *>(head.data()),
+               static_cast<std::streamsize>(head.size()));
+    ASSERT_TRUE(file.good());
+}
+
+} // namespace
+
+TEST(ArenaCli, OutdatedSidecarIsReportedRemovedAndRewritten)
+{
+    // A sidecar of an older format version is "outdated", not "corrupt":
+    // list and verify say so, gc removes it even though its trace is
+    // named, and materialize rewrites it in the current format.
+    const std::string dir = mbp::test::testDir() + "/cli-arena-outdated";
+    const std::string out = mbp::test::testDir() + "/cli-arena-out.json";
+    const std::string arena =
+        std::string(MBP_ARENA_BIN) + " --dir " + quoted(dir) + " --out " +
+        quoted(out) + " ";
+    ASSERT_EQ(run(arena + "materialize " + quoted(validTrace())).exit_code,
+              0);
+    const std::string manifest = slurp(out);
+    const std::size_t at = manifest.find("\"sidecar\": \"");
+    ASSERT_NE(at, std::string::npos) << manifest;
+    const std::size_t from = at + 12;
+    const std::string sidecar =
+        manifest.substr(from, manifest.find('"', from) - from);
+    const std::string kOutdated = "\"status\": \"outdated\"";
+
+    setSidecarVersion(sidecar, mbp::sbbt::kArenaFormatVersion - 1);
+    EXPECT_EQ(run(arena + "verify " + quoted(validTrace())).exit_code, 1);
+    EXPECT_NE(slurp(out).find(kOutdated), std::string::npos) << slurp(out);
+    EXPECT_EQ(run(arena + "list").exit_code, 1);
+    EXPECT_NE(slurp(out).find(kOutdated), std::string::npos) << slurp(out);
+
+    // materialize rewrites it; verify is healthy again.
+    EXPECT_EQ(run(arena + "materialize " + quoted(validTrace())).exit_code,
+              0);
+    EXPECT_NE(slurp(out).find("\"status\": \"materialized\""),
+              std::string::npos)
+        << slurp(out);
+    EXPECT_EQ(run(arena + "verify " + quoted(validTrace())).exit_code, 0);
+
+    // gc keeps a current sidecar of a named trace, removes an outdated one.
+    EXPECT_EQ(run(arena + "gc " + quoted(validTrace())).exit_code, 0);
+    EXPECT_TRUE(std::ifstream(sidecar).good());
+    setSidecarVersion(sidecar, mbp::sbbt::kArenaFormatVersion - 1);
+    EXPECT_EQ(run(arena + "gc " + quoted(validTrace())).exit_code, 0);
+    EXPECT_NE(slurp(out).find("\"status\": \"removed\""),
+              std::string::npos)
+        << slurp(out);
+    EXPECT_FALSE(std::ifstream(sidecar).good());
+
+    // A sidecar with a bad magic stays "corrupt".
+    ASSERT_EQ(run(arena + "materialize " + quoted(validTrace())).exit_code,
+              0);
+    {
+        std::fstream file(sidecar,
+                          std::ios::binary | std::ios::in | std::ios::out);
+        file.write("X", 1);
+    }
+    EXPECT_EQ(run(arena + "verify " + quoted(validTrace())).exit_code, 1);
+    EXPECT_NE(slurp(out).find("\"status\": \"corrupt\""),
+              std::string::npos)
+        << slurp(out);
+    EXPECT_EQ(run(arena + "list").exit_code, 1);
+    EXPECT_NE(slurp(out).find("\"status\": \"corrupt\""),
+              std::string::npos)
+        << slurp(out);
 }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <string>
 #include "test_util.hpp"
@@ -413,6 +415,92 @@ TEST(FlzFrame, RejectsAbsurdBlockHeaders)
         EXPECT_EQ(dec->read(buf, sizeof buf), 0u);
         EXPECT_TRUE(dec->failed())
             << "raw_size=" << raw_size << " comp_size=" << comp_size;
+    }
+}
+
+TEST(FlzFrame, CorruptBlockYieldsNoneOfItsBytes)
+{
+    // Blocks are decoded lazily, as far as reads ask, but validated whole
+    // first: a block whose fault shows only at its end (a declared size
+    // one byte off) still hands out none of its bytes, even to a small
+    // header-sized read. Narrow frames: 256 KiB blocks.
+    const std::size_t block = compress::kFlzBlockSize;
+    auto data = makeCompressibleData(2 * block + 1000, 29);
+    auto mem = std::make_unique<compress::MemorySink>();
+    auto *mem_raw = mem.get();
+    auto sink = compress::makeFlzSink(std::move(mem), -1, /*wide=*/false);
+    ASSERT_TRUE(sink->write(data.data(), data.size()));
+    ASSERT_TRUE(sink->finish());
+    const std::vector<std::uint8_t> good = mem_raw->buffer();
+
+    // Byte offsets of each block's u32 raw_size field.
+    std::vector<std::size_t> headers;
+    for (std::size_t at = 4;;) {
+        std::uint32_t raw = 0, comp = 0;
+        std::memcpy(&raw, good.data() + at, 4);
+        std::memcpy(&comp, good.data() + at + 4, 4);
+        if (raw == 0)
+            break;
+        ASSERT_NE(comp, 0u) << "expected compressed blocks";
+        headers.push_back(at);
+        at += 8 + comp;
+    }
+    ASSERT_EQ(headers.size(), 3u);
+
+    for (std::size_t corrupt = 0; corrupt < 2; ++corrupt) {
+        for (const int delta : {-1, +1}) {
+            auto bytes = good;
+            std::uint32_t raw = 0;
+            std::memcpy(&raw, bytes.data() + headers[corrupt], 4);
+            raw += static_cast<std::uint32_t>(delta);
+            std::memcpy(bytes.data() + headers[corrupt], &raw, 4);
+            const std::string label = "block " + std::to_string(corrupt) +
+                                      " size " + std::to_string(delta);
+            for (const std::size_t chunk : {std::size_t{16}, data.size()}) {
+                auto dec = compress::makeFlzSource(
+                    std::make_unique<compress::MemorySource>(bytes.data(),
+                                                             bytes.size()));
+                std::vector<std::uint8_t> out(data.size() + 16);
+                std::size_t got = 0, n;
+                while ((n = dec->read(out.data() + got,
+                                      std::min(chunk, out.size() - got))) >
+                       0)
+                    got += n;
+                EXPECT_TRUE(dec->failed()) << label;
+                EXPECT_EQ(got, corrupt * block) << label << " chunk "
+                                                << chunk;
+                EXPECT_TRUE(std::equal(out.begin(), out.begin() + got,
+                                       data.begin()))
+                    << label;
+            }
+        }
+    }
+}
+
+TEST(FlzFrame, ReadsOfAnySizeDecodeTheSameBytes)
+{
+    // A lazily decoded block resumes wherever the previous read stopped.
+    auto data = makeCompressibleData(3 * compress::kFlz2BlockSize / 2, 31);
+    auto mem = std::make_unique<compress::MemorySink>();
+    auto *mem_raw = mem.get();
+    auto sink = compress::makeFlzSink(std::move(mem), -1);
+    ASSERT_TRUE(sink->write(data.data(), data.size()));
+    ASSERT_TRUE(sink->finish());
+    const std::vector<std::uint8_t> encoded = mem_raw->buffer();
+    for (const std::size_t chunk :
+         {std::size_t{1} << 20, std::size_t{4096}, std::size_t{7}}) {
+        auto dec = compress::makeFlzSource(
+            std::make_unique<compress::MemorySource>(encoded.data(),
+                                                     encoded.size()));
+        std::vector<std::uint8_t> out(data.size() + 1);
+        std::size_t got = 0, n;
+        while ((n = dec->read(out.data() + got,
+                              std::min(chunk, out.size() - got))) > 0)
+            got += n;
+        EXPECT_FALSE(dec->failed()) << chunk;
+        ASSERT_EQ(got, data.size()) << chunk;
+        EXPECT_TRUE(std::equal(data.begin(), data.end(), out.begin()))
+            << chunk;
     }
 }
 

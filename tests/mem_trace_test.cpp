@@ -223,7 +223,7 @@ TEST(MemTrace, IndependentCursorsShareOneArena)
             std::uint64_t sum = 0;
             while (source.next(block)) {
                 for (std::size_t i = 0; i < block.size; ++i)
-                    sum += block.ip[i] + block.instr[i] +
+                    sum += block.ip(i) + block.instr[i] +
                            (block.meta[i] & sbbt::kMetaTaken);
             }
             checksums[w] = source.exhausted() ? sum : 0;

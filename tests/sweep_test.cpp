@@ -444,6 +444,57 @@ TEST(SweepCsv, ErrorMessagesAreQuotedToo)
     EXPECT_NE(rows[1][7].find("unknown predictor"), std::string::npos);
 }
 
+TEST_F(SweepTest, ResultsWithoutMetricsBecomeFailedCells)
+{
+    // A fused runner may return any document. One with neither "error"
+    // nor "metrics", or with metrics the aggregate cannot read, fails its
+    // cell with a message instead of crashing the campaign.
+    auto returning = [](json_t doc) {
+        return sweep::PredictorSpec{
+            "odd", [] { return pred::makeByName("bimodal"); },
+            [doc](const SimArgs &) { return doc; }};
+    };
+    json_t no_mpki = json_t::object();
+    no_mpki["metrics"] = json_t::object({{"accuracy", 1.0}});
+    sweep::Campaign campaign;
+    campaign.predictors = {returning(json_t::object()), returning(no_mpki),
+                           returning(json_t::object({{"error", 7}})),
+                           rosterSpec("bimodal")};
+    campaign.traces = {traces_[0]};
+    const json_t result = sweep::run(campaign, 2);
+
+    const json_t &cells = test::at(result, "cells");
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(test::at(test::at(cells[0], "result"), "error").asString(),
+              "result has neither 'error' nor 'metrics'");
+    EXPECT_EQ(test::at(test::at(cells[1], "result"), "error").asString(),
+              "result has no numeric metrics.mpki");
+    EXPECT_EQ(test::at(test::at(cells[2], "result"), "error").asString(),
+              "result has a non-string 'error'");
+    EXPECT_FALSE(test::at(cells[3], "result").contains("error"));
+    EXPECT_EQ(test::at(test::at(result, "aggregate"), "failed_cells")
+                  .asUint(),
+              3u);
+
+    const auto rows = parseCsv(sweep::toCsv(result));
+    ASSERT_EQ(rows.size(), 5u);
+    EXPECT_EQ(rows[1][7], "result has neither 'error' nor 'metrics'");
+    EXPECT_EQ(rows[2][7], "result has no numeric metrics.mpki");
+    EXPECT_EQ(rows[4][7], "");
+
+    // toCsv reads a hand-edited document the same way.
+    json_t edited = result;
+    edited["cells"] = json_t::array();
+    edited["cells"].push_back(json_t::object(
+        {{"predictor", "p"}, {"trace", "t"}, {"result", json_t::object()}}));
+    edited["cells"].push_back(json_t::object({{"predictor", "q"}}));
+    const auto edited_rows = parseCsv(sweep::toCsv(edited));
+    ASSERT_EQ(edited_rows.size(), 3u);
+    EXPECT_EQ(edited_rows[1][7], "result has neither 'error' nor 'metrics'");
+    EXPECT_EQ(edited_rows[2][1], "");
+    EXPECT_EQ(edited_rows[2][7], "cell has no result");
+}
+
 TEST(EffectiveJobs, ResolvesZeroRequestsWithoutGoingSerial)
 {
     // An explicit request always wins.
