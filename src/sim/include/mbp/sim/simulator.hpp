@@ -176,12 +176,13 @@ struct SimArgs
      * the branch, whether the branch falls in the measured (post-warmup)
      * window, and the index of the predictor that made the prediction (0
      * in simulate(); 0..N-1 per branch in compare()/simulateMany(), in
-     * roster order). In simulate() the hook fires right after predict(),
-     * before train/track. In compare()/simulateMany() (and their fused
-     * drop-ins) each predictor runs a whole block first and the hooks
-     * fire per block from the recorded guesses — still branch-major with
-     * the predictor index ascending, so the event stream is unchanged,
-     * but the predictors have already moved on when a hook observes them.
+     * roster order). Every simulator runs each predictor over a whole
+     * block of branches first and fires the hooks per block from the
+     * recorded guesses — branch-major with the predictor index
+     * ascending — so the hook sees every prediction in trace order, but
+     * the predictors have already moved on to the block's end when it
+     * observes them: no simulator fires it between predict() and
+     * train().
      * Lets external checkers run in lockstep with the simulation — the
      * conformance tests capture the exact prediction stream through it,
      * and mbp::testkit's metamorphic oracles rebuild per-window
@@ -233,25 +234,6 @@ json_t compare(Predictor &a, Predictor &b, const SimArgs &args);
  */
 json_t simulateMany(const std::vector<Predictor *> &predictors,
                     const SimArgs &args);
-
-/**
- * Championship-style multi-trace driver: runs a *fresh* predictor (from
- * @p factory) over every trace and aggregates.
- *
- * The returned object has a "traces" array (one simulate() result each,
- * with most_failed trimmed to keep the document small) and a "summary"
- * object with the arithmetic-mean MPKI (the championship metric), total
- * mispredictions/instructions and total simulation time.
- *
- * This lives in the library rather than in user scripts because running
- * the training set is *the* evaluation workflow of the field (§II); user
- * code can still iterate manually for custom aggregation. For a parallel
- * or multi-predictor campaign over the same traces, use mbp::sweep::run,
- * which reports the same arithmetic-mean MPKI per predictor.
- */
-json_t simulateSuite(
-    const std::function<std::unique_ptr<Predictor>()> &factory,
-    const std::vector<std::string> &trace_paths, const SimArgs &base_args);
 
 /**
  * Analytic CPI model from the paper's motivation (§II): an in-order

@@ -10,17 +10,21 @@
  *   mbp_tracegen stress <dir> [seed] [num_branches]
  *
  * formats is a comma list of: sbbt,sbbt-raw,btt,btt-flz,champsim
- * (default: sbbt). The stress mode renders the front-end stress
+ * (default: sbbt); exactly the named formats are written. An unknown
+ * format, a malformed count or a non-positive scale is a usage error
+ * (exit 2). The stress mode renders the front-end stress
  * workloads (interpreter-dispatch indirect storms, megamorphic virtual
  * call sites, deep-recursion RAS pressure) as SBBT traces.
  */
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
 #include "mbp/testkit/oracle.hpp"
+#include "mbp/tools/cli.hpp"
 #include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/adversarial.hpp"
 #include "mbp/tracegen/suite.hpp"
@@ -28,20 +32,21 @@
 namespace
 {
 
-mbp::tools::CorpusFormats
-parseFormats(const char *arg)
+/**
+ * Parses a comma list of format names into exactly the formats it names.
+ * @return false (after naming the culprit) on an unknown or empty name.
+ */
+bool
+parseFormats(const char *arg, mbp::tools::CorpusFormats &formats)
 {
-    mbp::tools::CorpusFormats formats;
-    if (!arg)
-        return formats;
-    formats = {};
-    std::string list = arg;
+    formats = {.sbbt_flz = false}; // the list replaces the default
+    const std::string list = arg;
     std::size_t pos = 0;
-    while (pos < list.size()) {
+    while (pos <= list.size()) {
         std::size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
             comma = list.size();
-        std::string item = list.substr(pos, comma - pos);
+        const std::string item = list.substr(pos, comma - pos);
         if (item == "sbbt")
             formats.sbbt_flz = true;
         else if (item == "sbbt-raw")
@@ -52,11 +57,27 @@ parseFormats(const char *arg)
             formats.btt_flz = true;
         else if (item == "champsim")
             formats.champsim = true;
-        else
-            std::fprintf(stderr, "unknown format: %s\n", item.c_str());
+        else {
+            std::fprintf(stderr, "unknown format: '%s'\n", item.c_str());
+            return false;
+        }
         pos = comma + 1;
     }
-    return formats;
+    return true;
+}
+
+/** Parses a finite, strictly positive, fully consumed scale factor. */
+bool
+parseScale(const char *text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+        value <= 0.0)
+        return false;
+    out = value;
+    return true;
 }
 
 int
@@ -84,8 +105,14 @@ main(int argc, char **argv)
             return usage(argv[0]);
         std::string which = argv[2];
         std::string dir = argv[3];
-        double scale = argc > 4 ? std::atof(argv[4]) : 1.0;
-        auto formats = parseFormats(argc > 5 ? argv[5] : nullptr);
+        double scale = 1.0;
+        if (argc > 4 && !parseScale(argv[4], scale)) {
+            std::fprintf(stderr, "bad scale: '%s'\n", argv[4]);
+            return usage(argv[0]);
+        }
+        mbp::tools::CorpusFormats formats;
+        if (argc > 5 && !parseFormats(argv[5], formats))
+            return usage(argv[0]);
         std::vector<mbp::tracegen::WorkloadSpec> suite;
         if (which == "cbp5-train")
             suite = mbp::tracegen::cbp5TrainMini(scale);
@@ -103,11 +130,16 @@ main(int argc, char **argv)
     }
     if (mode == "stress") {
         std::string dir = argv[2];
-        std::uint64_t seed =
-            argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-        std::size_t num_branches =
-            argc > 4 ? std::size_t(std::strtoull(argv[4], nullptr, 10))
-                     : 100000;
+        std::uint64_t seed = 1;
+        std::uint64_t num_branches = 100000;
+        if (argc > 3 && !mbp::tools::parseCount(argv[3], seed)) {
+            std::fprintf(stderr, "bad seed: '%s'\n", argv[3]);
+            return usage(argv[0]);
+        }
+        if (argc > 4 && !mbp::tools::parseCount(argv[4], num_branches)) {
+            std::fprintf(stderr, "bad num_branches: '%s'\n", argv[4]);
+            return usage(argv[0]);
+        }
         if (num_branches < 16) {
             std::fprintf(stderr, "num_branches must be >= 16\n");
             return 2;
@@ -153,9 +185,17 @@ main(int argc, char **argv)
             return usage(argv[0]);
         mbp::tracegen::WorkloadSpec spec;
         spec.name = argv[3];
-        spec.seed = std::strtoull(argv[4], nullptr, 10);
-        spec.num_instr = std::strtoull(argv[5], nullptr, 10);
-        auto formats = parseFormats(argc > 6 ? argv[6] : nullptr);
+        if (!mbp::tools::parseCount(argv[4], spec.seed)) {
+            std::fprintf(stderr, "bad seed: '%s'\n", argv[4]);
+            return usage(argv[0]);
+        }
+        if (!mbp::tools::parseCount(argv[5], spec.num_instr)) {
+            std::fprintf(stderr, "bad num_instr: '%s'\n", argv[5]);
+            return usage(argv[0]);
+        }
+        mbp::tools::CorpusFormats formats;
+        if (argc > 6 && !parseFormats(argv[6], formats))
+            return usage(argv[0]);
         auto entries = mbp::tools::materialize(argv[2], {spec}, formats);
         std::printf("%s: %llu instructions\n", entries[0].name.c_str(),
                     (unsigned long long)entries[0].num_instr);

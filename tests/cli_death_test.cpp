@@ -1,7 +1,8 @@
 /**
  * @file
  * Exit-code and argv contract tests for the installed binaries (mbp_sim,
- * mbp_sweep, mbp_fuzz, mbp_audit, mbp_arena), run as real subprocesses. The
+ * mbp_sweep, mbp_fuzz, mbp_audit, mbp_arena, mbp_tracegen), run as real
+ * subprocesses. The
  * documented convention (README "Command-line tools", TESTING.md):
  *
  *   exit 2 — usage errors: bad flag value, unknown flag, unknown
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <sys/wait.h>
@@ -523,4 +525,76 @@ TEST(ArenaCli, OutdatedSidecarIsReportedRemovedAndRewritten)
     EXPECT_NE(slurp(out).find("\"status\": \"corrupt\""),
               std::string::npos)
         << slurp(out);
+}
+
+// ---------------------------------------------------------------------------
+// mbp_tracegen
+
+namespace
+{
+
+/** A fresh, empty output directory for one mbp_tracegen case. */
+std::string
+tracegenDir(const std::string &name)
+{
+    const std::string dir = mbp::test::testDir() + "/cli-tracegen-" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+} // namespace
+
+TEST(TracegenCli, UnknownFormatExits2AndWritesNothing)
+{
+    const std::string dir = tracegenDir("bogus");
+    auto r = run(std::string(MBP_TRACEGEN_BIN) + " one " + quoted(dir) +
+                 " n 3 1000 bogusformat");
+    EXPECT_EQ(r.exit_code, 2);
+    EXPECT_NE(r.err.find("bogusformat"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("usage"), std::string::npos) << r.err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/n.sbbt.flz"));
+}
+
+TEST(TracegenCli, FormatListWritesExactlyTheNamedFormats)
+{
+    const std::string dir = tracegenDir("raw");
+    auto r = run(std::string(MBP_TRACEGEN_BIN) + " one " + quoted(dir) +
+                 " n 3 1000 sbbt-raw");
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_TRUE(std::filesystem::exists(dir + "/n.sbbt"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/n.sbbt.flz"));
+
+    const std::string both = tracegenDir("both");
+    r = run(std::string(MBP_TRACEGEN_BIN) + " one " + quoted(both) +
+            " n 3 1000 sbbt,sbbt-raw");
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_TRUE(std::filesystem::exists(both + "/n.sbbt"));
+    EXPECT_TRUE(std::filesystem::exists(both + "/n.sbbt.flz"));
+}
+
+TEST(TracegenCli, MalformedCountsExit2AndNameTheArgument)
+{
+    struct Case
+    {
+        const char *args;
+        const char *names;
+    };
+    for (const Case &c : {
+             Case{" one DIR n xyz 1000", "seed"},
+             Case{" one DIR n 3 12abc", "num_instr"},
+             Case{" one DIR n -3 1000", "seed"},
+             Case{" stress DIR x", "seed"},
+             Case{" stress DIR 1 many", "num_branches"},
+             Case{" suite cbp5-train DIR 0", "scale"},
+             Case{" suite cbp5-train DIR 0.5x", "scale"},
+             Case{" suite cbp5-train DIR -1", "scale"},
+             Case{" suite cbp5-train DIR inf", "scale"},
+         }) {
+        std::string args = c.args;
+        args.replace(args.find("DIR"), 3, quoted(tracegenDir("counts")));
+        auto r = run(std::string(MBP_TRACEGEN_BIN) + args);
+        EXPECT_EQ(r.exit_code, 2) << c.args;
+        EXPECT_NE(r.err.find(c.names), std::string::npos)
+            << c.args << ": " << r.err;
+    }
 }

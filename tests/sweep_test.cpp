@@ -241,6 +241,12 @@ TEST_F(SweepTest, FailedCellsDoNotAbortTheCampaign)
         *result.find("aggregate")->find("per_predictor");
     EXPECT_EQ(per_predictor[0].find("failed_cells")->asUint(), 1u);
     EXPECT_EQ(per_predictor[1].find("failed_cells")->asUint(), 2u);
+    // The arithmetic-mean MPKI averages the successful cells only.
+    EXPECT_DOUBLE_EQ(
+        per_predictor[0].find("amean_mpki")->asDouble(),
+        cells[0].find("result")->find("metrics")->find("mpki")->asDouble());
+    EXPECT_GT(per_predictor[0].find("amean_mpki")->asDouble(), 0.0);
+    EXPECT_EQ(per_predictor[1].find("amean_mpki")->asDouble(), 0.0);
 }
 
 TEST_F(SweepTest, ManyWorkersOnSmallGridIsSafe)

@@ -162,6 +162,43 @@ TEST(Differential, RosterGshareMatchesReference)
         auto mismatch = testkit::runLockstep(subject, reference, events);
         EXPECT_FALSE(mismatch.found) << mismatch.describe();
     }
+
+    // Through simulate(): its prediction hook must report, in trace
+    // order, the reference's guess for every conditional branch — across
+    // several 4096-branch blocks and on both sides of a warmup split
+    // that falls mid-block.
+    Events events = tracegen::historyWrap(7, 10'000, 15);
+    const std::string path = tempPath("diff-gshare-hooked.sbbt");
+    ASSERT_EQ(testkit::writeSbbtFile(events, path), "");
+    testkit::RefGshare reference(15, 17);
+    std::string expected;
+    for (const auto &ev : events) {
+        if (ev.branch.isConditional()) {
+            expected.push_back(reference.predict(ev.branch.ip()) ? 'T'
+                                                                 : 'N');
+            reference.train(ev.branch);
+        }
+        reference.track(ev.branch);
+    }
+    pred::Gshare<15, 17> subject;
+    SimArgs args;
+    args.trace_path = path;
+    args.warmup_instr = tracegen::streamInstructions(events) / 2;
+    std::string observed;
+    std::size_t measured = 0;
+    args.prediction_hook = [&](const Branch &, bool predicted,
+                               std::uint64_t, bool in_window) {
+        observed.push_back(predicted ? 'T' : 'N');
+        measured += in_window ? 1 : 0;
+    };
+    json_t result = simulate(subject, args);
+    ASSERT_FALSE(result.contains("error")) << result.dump(2);
+    EXPECT_EQ(observed, expected);
+    EXPECT_EQ(measured, result.find("metadata")
+                            ->find("num_conditional_branches")
+                            ->asUint());
+    EXPECT_LT(measured, observed.size());
+    std::filesystem::remove(path);
 }
 
 TEST(Differential, TageLiteMatchesReference)
